@@ -17,12 +17,12 @@ use crate::options::{Method, RunOptions};
 use crate::scheduler::{AdmissionPolicy, Scheduler, Ticket};
 use mwtj_cost::{CalibratedParams, Calibrator, CostModel};
 use mwtj_join::oracle::oracle_join;
-use mwtj_mapreduce::{CancelToken, Cluster, ClusterConfig, ExecError, JobMetrics};
+use mwtj_mapreduce::{CancelToken, Cluster, ClusterConfig, Dfs, DfsFile, ExecError, JobMetrics};
 use mwtj_obs::{
     next_trace_id, FlightRecord, FlightRecorder, JobRecord, Outcome, QueryProfile, Registry, Span,
     SpanRecord,
 };
-use mwtj_planner::{Baseline, PlanError, Planner, QueryPlan, QueryRun};
+use mwtj_planner::{Baseline, BoundRelation, PlanError, Planner, QueryPlan, QueryRun};
 use mwtj_query::{MultiwayQuery, ParsedQuery};
 use mwtj_storage::{DataType, Field, Relation, RelationStats, Schema, Tuple, Value};
 use parking_lot::{Mutex, RwLock};
@@ -58,16 +58,34 @@ impl LoadReport {
     }
 }
 
-/// Loaded data: augmented relations and their statistics, keyed by
-/// instance name.
+/// Everything the engine holds about one loaded instance, published
+/// and replaced as a unit so a reader can never pair one load's rows
+/// with another load's statistics or blocks.
+struct CatalogEntry {
+    /// The augmented (rowid-extended) relation.
+    relation: Arc<Relation>,
+    stats: Arc<RelationStats>,
+    /// The base table the instance was loaded from (itself for direct
+    /// loads); [`Engine::load_alias_of`] consults it so an alias can
+    /// never be silently rebound to a different base.
+    base: String,
+    /// The instance's sealed DFS file — what a query binds and scans.
+    file: Arc<DfsFile>,
+}
+
+impl CatalogEntry {
+    fn bound(&self) -> BoundRelation {
+        BoundRelation {
+            stats: Arc::clone(&self.stats),
+            file: Arc::clone(&self.file),
+        }
+    }
+}
+
+/// Loaded data, keyed by instance name.
 #[derive(Default)]
 struct Catalog {
-    stats: HashMap<String, RelationStats>,
-    relations: HashMap<String, Arc<Relation>>,
-    /// Instance name → the base table it was loaded from (itself for
-    /// direct loads). SQL auto-registration consults this so an alias
-    /// can never be silently rebound to a different base.
-    bases: HashMap<String, String>,
+    entries: HashMap<String, CatalogEntry>,
     /// Bumped whenever loaded data *changes* (an entry is replaced,
     /// refreshed or unloaded, or the cost model is recalibrated) —
     /// never for a fresh name. Cached plan artifacts are tagged with
@@ -196,21 +214,16 @@ pub struct EngineStats {
     pub faults: FaultStats,
     /// Admission-controller counters.
     pub scheduler: crate::scheduler::SchedulerStats,
-    /// DFS zone-map cache hits (namespaced instances sharing a base's
-    /// maps).
-    pub zone_cache_hits: u64,
-    /// DFS zone-map cache misses.
-    pub zone_cache_misses: u64,
     /// Units the most recent `Ours` admission requested.
     pub last_admission_request: u32,
     /// The statistics epoch at snapshot time.
     pub epoch: u64,
-    /// Storage-layout totals over loaded (non-transient) instances.
+    /// Storage-layout totals over loaded instances.
     pub storage: StorageStats,
 }
 
-/// Aggregate storage-layout totals over the loaded (non-transient)
-/// catalog instances, reported by the server's `stats` verb.
+/// Aggregate storage-layout totals over the loaded catalog instances,
+/// reported by the server's `stats` verb.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageStats {
     /// Loaded instances.
@@ -251,10 +264,8 @@ struct Shared {
     sample_cap: usize,
     /// Admission controller over the cluster's `k_P` unit budget.
     scheduler: Scheduler,
-    /// Per-engine counter namespacing each SQL run's alias instances.
-    next_query: AtomicU64,
-    /// Full plan artifacts keyed by (namespace-stripped query shape ×
-    /// base bindings, planning `k`), invalidated via [`Catalog::epoch`].
+    /// Full plan artifacts keyed by (query shape × base bindings,
+    /// planning `k`), invalidated via [`Catalog::epoch`].
     /// Reduced-`k` replans of a degraded admission live beside the
     /// full-`k` plan under their own `k` key.
     plan_cache: RwLock<HashMap<(String, u32), CachedPlan>>,
@@ -320,23 +331,50 @@ pub struct Engine {
     shared: Arc<Shared>,
 }
 
+/// A query's base relations, resolved once at admission under a single
+/// catalog read lock. Below this point nothing looks a base relation up
+/// by name: the run scans exactly the files bound here — even if a base
+/// is reloaded or unloaded mid-run — and the query's schemas keep their
+/// own (alias) names end to end.
+pub(crate) struct Bindings {
+    /// Per relation index: the bound statistics and sealed file.
+    pub(crate) inputs: Vec<BoundRelation>,
+    /// Per relation index: the catalog name it resolved to — with the
+    /// query shape, the plan-cache key.
+    pub(crate) bases: Vec<String>,
+    /// Statistics epoch at resolution; tags plan-cache entries and the
+    /// recorded skip fraction, so a reload invalidates both.
+    pub(crate) epoch: u64,
+}
+
+impl Bindings {
+    /// Whether any relation reads a `sys.*` snapshot.
+    pub(crate) fn reads_sys(&self) -> bool {
+        self.bases.iter().any(|b| crate::sys::is_sys(b))
+    }
+
+    /// The plan-cache key prefix for a query of `shape` over these
+    /// bases: shape-identical queries over different bases (whose
+    /// statistics differ) never share a plan.
+    pub(crate) fn key_prefix(&self, shape: &str) -> String {
+        format!("{shape}|{}", self.bases.join(","))
+    }
+}
+
 /// Everything a run needs after admission: the planner snapshot, the
-/// owned statistics snapshot, the held RAII ticket and — for the
-/// `Ours` methods — the `Arc`-shared plan artifact to execute, already
-/// replanned at the granted `k` if the admission degraded. Dropping it
-/// releases the ticket.
+/// query's bindings, the held RAII ticket and — for the `Ours` methods
+/// — the `Arc`-shared plan artifact to execute, already replanned at
+/// the granted `k` if the admission degraded. Dropping it releases the
+/// ticket.
 pub(crate) struct Admitted {
     pub(crate) planner: Arc<Planner>,
-    pub(crate) stats: Vec<RelationStats>,
+    pub(crate) bindings: Bindings,
     pub(crate) ticket: Ticket,
     pub(crate) plan: Option<Arc<QueryPlan>>,
     /// The plan-cache key prefix (`Ours` methods only) — where the
     /// run's observed skip fraction is recorded for the next
     /// admission's Eq. 2 discount.
     pub(crate) key_prefix: Option<String>,
-    /// Statistics epoch the admission snapshotted; tags the recorded
-    /// skip fraction so a reload invalidates it like a cached plan.
-    pub(crate) epoch: u64,
     /// The run's cancellation token, carrying its deadline when
     /// [`RunOptions::deadline_ms`] was set (the deadline clock starts
     /// *before* admission, so time parked in the admission queue counts
@@ -356,16 +394,42 @@ pub(crate) struct Admitted {
     pub(crate) started: std::time::Instant,
 }
 
-/// The namespace-stripped shape of a query: its Display form with the
-/// caller-chosen query name dropped and `__q<N>_` per-run alias
-/// prefixes removed — the plan-cache key prefix shared by every run of
-/// the same query text.
+/// The shape of a query: its Display form with the caller-chosen query
+/// name dropped — the plan-cache key prefix shared by every run of the
+/// same query text.
 pub(crate) fn query_shape(q: &MultiwayQuery) -> String {
     let display = q.to_string();
-    let shape = display
+    display
         .split_once(": ")
-        .map_or(display.as_str(), |(_, rest)| rest);
-    strip_query_namespaces(shape)
+        .map_or(display.as_str(), |(_, rest)| rest)
+        .to_string()
+}
+
+/// What every run — success, fault, deadline, cancel, shed, disconnect
+/// — must leave exactly as it found it: the DFS file list (no `__run`
+/// intermediate, nothing extra) and the loaded catalog instances. Take
+/// one with [`Engine::quiescence`] before a run and check it afterwards
+/// with [`assert_quiescent`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Quiescence {
+    files: Vec<String>,
+    instances: Vec<(String, usize)>,
+}
+
+/// The run-end invariant: no processing unit is still reserved, and the
+/// DFS and the catalog are exactly at `baseline`.
+#[track_caller]
+pub fn assert_quiescent(engine: &Engine, baseline: &Quiescence) {
+    assert_eq!(
+        engine.scheduler().stats().in_flight_units,
+        0,
+        "a finished run still holds processing units"
+    );
+    assert_eq!(
+        &engine.quiescence(),
+        baseline,
+        "a finished run left DFS files or catalog instances behind"
+    );
 }
 
 impl Engine {
@@ -390,7 +454,6 @@ impl Engine {
                 calibrated: Mutex::new(false),
                 sample_cap: 512,
                 scheduler,
-                next_query: AtomicU64::new(0),
                 plan_cache: RwLock::new(HashMap::new()),
                 cache_hits: AtomicU64::new(0),
                 cache_misses: AtomicU64::new(0),
@@ -447,8 +510,8 @@ impl Engine {
     }
 
     /// One coherent snapshot of every engine-wide counter group —
-    /// plan cache, zone skipping, faults, admission, DFS zone-map
-    /// cache — gathered at a single point in time. This is what the
+    /// plan cache, zone skipping, faults, admission, storage —
+    /// gathered at a single point in time. This is what the
     /// server's `stats` command serialises; prefer it over the
     /// per-group accessors whenever more than one group is read.
     pub fn stats_snapshot(&self) -> EngineStats {
@@ -465,16 +528,10 @@ impl Engine {
                 replans: s.cache_replans.load(Ordering::Relaxed),
             }
         };
-        let (zone_cache_hits, zone_cache_misses) = s.cluster.dfs().zone_cache_stats();
         let storage = {
             let catalog = s.catalog.read();
             let mut t = StorageStats::default();
-            for (name, rel) in catalog
-                .relations
-                .iter()
-                .filter(|(name, _)| !is_internal_instance(name))
-            {
-                let _ = name;
+            for rel in catalog.entries.values().map(|e| &e.relation) {
                 t.relations += 1;
                 t.encoded_bytes += rel.encoded_bytes() as u64;
                 if let Some(layout) = rel.layout() {
@@ -505,8 +562,6 @@ impl Engine {
                 deadline_exceeded: s.deadline_exceeded.load(Ordering::Relaxed),
             },
             scheduler: s.scheduler.stats(),
-            zone_cache_hits,
-            zone_cache_misses,
             last_admission_request: s.last_admission_request.load(Ordering::Relaxed) as u32,
             epoch: self.stats_epoch(),
             storage,
@@ -689,27 +744,36 @@ impl Engine {
 
     /// Statistics collected for a loaded relation instance.
     pub fn stats_of(&self, name: &str) -> Option<RelationStats> {
-        self.shared.catalog.read().stats.get(name).cloned()
+        let catalog = self.shared.catalog.read();
+        catalog.entries.get(name).map(|e| (*e.stats).clone())
     }
 
     /// The loaded (rowid-augmented) relation under `name`.
     pub fn relation(&self, name: &str) -> Option<Arc<Relation>> {
-        self.shared.catalog.read().relations.get(name).cloned()
+        let catalog = self.shared.catalog.read();
+        catalog.entries.get(name).map(|e| Arc::clone(&e.relation))
     }
 
     /// Every loaded instance as `(name, cardinality)`, sorted by name
-    /// (catalog inspection for serving front-ends). Transient `__q<N>_`
-    /// instances of in-flight SQL runs are internal and excluded.
+    /// (catalog inspection for serving front-ends).
     pub fn loaded_instances(&self) -> Vec<(String, usize)> {
         let catalog = self.shared.catalog.read();
         let mut all: Vec<(String, usize)> = catalog
-            .relations
+            .entries
             .iter()
-            .filter(|(name, _)| !is_internal_instance(name))
-            .map(|(name, rel)| (name.clone(), rel.len()))
+            .map(|(name, e)| (name.clone(), e.relation.len()))
             .collect();
         all.sort();
         all
+    }
+
+    /// The DFS file list and loaded instances right now — the baseline
+    /// [`assert_quiescent`] compares against.
+    pub fn quiescence(&self) -> Quiescence {
+        Quiescence {
+            files: self.shared.cluster.dfs().list(),
+            instances: self.loaded_instances(),
+        }
     }
 
     /// Run the §6.2 calibration sweep and swap in the fitted `p`/`q`.
@@ -741,8 +805,8 @@ impl Engine {
     ///
     /// This is an *administrative* operation: loading under a name that
     /// already exists replaces that catalog entry (and its binding),
-    /// matching the legacy façade's reload semantics. Only SQL
-    /// auto-registration ([`Engine::load_alias_of`]) refuses to rebind.
+    /// matching the legacy façade's reload semantics. Only
+    /// [`Engine::load_alias_of`] refuses to rebind.
     pub fn load_relation(&self, rel: &Relation) -> LoadReport {
         let augmented = self.apply_storage_layout(augment_with_rid(rel));
         let mut rng = StdRng::seed_from_u64(0x57a7 ^ augmented.len() as u64);
@@ -786,14 +850,15 @@ impl Engine {
     pub fn load_alias_of(&self, base: &str, alias: &str) -> Result<LoadReport, EngineError> {
         // One write lock for check + upload + publish. Keeping the DFS
         // upload inside the critical section means a large alias load
-        // briefly blocks stat lookups, but releasing the lock around it
-        // would open a window where either the catalog names a DFS file
-        // that does not exist yet, or a losing racer clobbers the
+        // briefly blocks catalog readers, but releasing the lock around
+        // it would open a window where either the catalog names a DFS
+        // file that does not exist yet, or a losing racer clobbers the
         // winner's DFS file after the conflict check. Alias loads are
-        // rare administrative events; correctness wins.
+        // rare administrative events — no query path comes through
+        // here — so correctness wins.
         let mut catalog = self.shared.catalog.write();
-        match catalog.bases.get(alias) {
-            Some(bound) if bound == base => {
+        match catalog.entries.get(alias) {
+            Some(bound) if bound.base == base => {
                 return Ok(LoadReport {
                     upload_secs: 0.0,
                     sampling_secs: 0.0,
@@ -802,32 +867,41 @@ impl Engine {
             Some(bound) => {
                 return Err(EngineError::AliasConflict {
                     alias: alias.into(),
-                    bound_to: bound.clone(),
+                    bound_to: bound.base.clone(),
                     requested: base.into(),
                 })
             }
             None => {}
         }
-        let rel = catalog
-            .relations
+        let entry = catalog
+            .entries
             .get(base)
-            .ok_or_else(|| EngineError::RelationNotLoaded { name: base.into() })?
-            .rename(alias);
-        let stats = catalog
-            .stats
-            .get(base)
-            .cloned()
             .ok_or_else(|| EngineError::RelationNotLoaded { name: base.into() })?;
-        let config = self.shared.cluster.config();
-        let upload_secs = self.shared.cluster.dfs().put_relation(alias, &rel, config);
-        catalog.stats.insert(alias.to_string(), stats);
-        catalog.relations.insert(alias.to_string(), Arc::new(rel));
-        catalog.bases.insert(alias.to_string(), base.to_string());
+        let (entry, upload_secs) = self.alias_entry(entry, base, alias);
+        catalog.entries.insert(alias.to_string(), entry);
         Ok(LoadReport {
             upload_secs,
             // Statistics are shared with the base; no sampling pass.
             sampling_secs: 0.0,
         })
+    }
+
+    /// The catalog entry for `alias` as an instance of `base`: rows and
+    /// statistics are shared outright; the instance's own DFS file is
+    /// sealed, uploaded (and priced) under the alias name.
+    fn alias_entry(&self, of: &CatalogEntry, base: &str, alias: &str) -> (CatalogEntry, f64) {
+        let config = self.shared.cluster.config();
+        let relation = of.relation.rename(alias);
+        let file = Arc::new(Dfs::seal(alias, &relation, config));
+        let dfs = self.shared.cluster.dfs();
+        let upload_secs = dfs.put_file(alias, Arc::clone(&file), config);
+        let entry = CatalogEntry {
+            relation: Arc::new(relation),
+            stats: Arc::clone(&of.stats),
+            base: base.to_string(),
+            file,
+        };
+        (entry, upload_secs)
     }
 
     /// Upload `augmented` to the DFS, price the load, and publish it in
@@ -837,14 +911,16 @@ impl Engine {
     /// bound to it (their rows and statistics re-share the new data
     /// and their DFS instance files are re-uploaded), so stale
     /// statistics cannot survive a reload; the statistics epoch is
-    /// bumped, invalidating cached plan estimates.
+    /// bumped, invalidating cached plan estimates. A run that already
+    /// bound the previous entry keeps scanning the file it holds.
     fn register(&self, augmented: Relation, stats: RelationStats, base: String) -> LoadReport {
         let config = self.shared.cluster.config();
-        let mut upload_secs =
-            self.shared
-                .cluster
-                .dfs()
-                .put_relation(augmented.name(), &augmented, config);
+        let name = augmented.name().to_string();
+        // The base's blocks are sealed exactly once, here; every query
+        // over it shares them.
+        let file = Arc::new(Dfs::seal(&name, &augmented, config));
+        let dfs = self.shared.cluster.dfs();
+        let mut upload_secs = dfs.put_file(&name, Arc::clone(&file), config);
         // Sampling pass: one sequential scan of a sample's worth of
         // blocks + histogram building; priced as reading the sampled
         // fraction plus a fixed index-build overhead per block.
@@ -889,40 +965,31 @@ impl Engine {
                 augmented.encoded_bytes() as f64,
             );
         }
+        let entry = CatalogEntry {
+            relation: Arc::new(augmented),
+            stats: Arc::new(stats),
+            base,
+            file,
+        };
         let mut catalog = self.shared.catalog.write();
-        let name = augmented.name().to_string();
-        let replaced = catalog.relations.contains_key(&name);
-        let augmented = Arc::new(augmented);
-        catalog.stats.insert(name.clone(), stats.clone());
-        catalog
-            .relations
-            .insert(name.clone(), Arc::clone(&augmented));
-        catalog.bases.insert(name.clone(), base);
         // Refresh dependent aliases: anything bound to this name now
         // shares the new rows and statistics outright. This must also
         // run when the name was previously `unload`ed (the alias
         // bindings survive and would otherwise serve stale data
         // forever) — so the trigger is "dependents exist", not
-        // "entry replaced". Transient `__q<N>_` instances of in-flight
-        // SQL runs are *excluded*: those queries own a mid-execution
-        // snapshot and must not have their DFS inputs swapped under
-        // them.
+        // "entry replaced".
         let dependents: Vec<String> = catalog
-            .bases
+            .entries
             .iter()
-            .filter(|(alias, b)| *b == &name && *alias != &name && !is_internal_instance(alias))
+            .filter(|(alias, e)| e.base == name && *alias != &name)
             .map(|(alias, _)| alias.clone())
             .collect();
         for alias in &dependents {
-            let renamed = augmented.rename(alias);
-            upload_secs += self
-                .shared
-                .cluster
-                .dfs()
-                .put_relation(alias, &renamed, config);
-            catalog.relations.insert(alias.clone(), Arc::new(renamed));
-            catalog.stats.insert(alias.clone(), stats.clone());
+            let (refreshed, secs) = self.alias_entry(&entry, &name, alias);
+            upload_secs += secs;
+            catalog.entries.insert(alias.clone(), refreshed);
         }
+        let replaced = catalog.entries.insert(name, entry).is_some();
         if replaced || !dependents.is_empty() {
             catalog.epoch += 1;
         }
@@ -937,20 +1004,11 @@ impl Engine {
     /// using the instance keeps its snapshotted rows, but new queries
     /// will fail to resolve the name.
     pub fn unload(&self, name: &str) -> bool {
-        let existed = self.unload_quiet(name);
-        if existed {
-            self.shared.catalog.write().epoch += 1;
-        }
-        existed
-    }
-
-    /// [`Engine::unload`] without the epoch bump — cleanup of per-query
-    /// internal alias instances, which no other query can reference.
-    pub(crate) fn unload_quiet(&self, name: &str) -> bool {
         let mut catalog = self.shared.catalog.write();
-        let existed = catalog.relations.remove(name).is_some();
-        catalog.stats.remove(name);
-        catalog.bases.remove(name);
+        let existed = catalog.entries.remove(name).is_some();
+        if existed {
+            catalog.epoch += 1;
+        }
         drop(catalog);
         self.shared.cluster.dfs().remove(name);
         existed
@@ -972,50 +1030,64 @@ impl Engine {
             self.ensure_calibrated();
         }
         let q = augment_query(query);
-        let admitted = self.admit_for(&q, opts, None)?;
+        let admitted = self.admit_for(&q, None, opts, None)?;
         self.execute_admitted(&admitted, &q, opts, None)
     }
 
-    /// Snapshot the statistics for an (augmented) query's instances,
-    /// plus each instance's base binding (which keys the estimate
-    /// cache) and the epoch — releasing the catalog guard before the
+    /// Resolve a query's relations into its [`Bindings`] — the one
+    /// place a base relation is looked up by name. `from` is a SQL
+    /// query's FROM clause: relation `i` binds the base `from[i].1`
+    /// while its schema keeps the alias, so concurrent queries can bind
+    /// one alias to different bases with nothing shared to conflict
+    /// over. `None` is the identity binding of a hand-built query
+    /// (schema name = catalog instance).
+    ///
+    /// The catalog is only read, and the guard is released before the
     /// caller executes: holding it across a multi-second run would
-    /// stall every concurrent load (and, with writers queued, new
-    /// runs).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot_stats(
+    /// stall every concurrent load.
+    pub(crate) fn bind(
         &self,
         q: &MultiwayQuery,
-    ) -> Result<(Vec<RelationStats>, Vec<String>, u64), EngineError> {
+        from: Option<&[(String, String)]>,
+    ) -> Result<Bindings, EngineError> {
+        let bases: Vec<String> = match from {
+            Some(instances) => instances.iter().map(|(_, base)| base.clone()).collect(),
+            None => q.schemas.iter().map(|s| s.name().to_string()).collect(),
+        };
+        // Each distinct `sys.` base is snapshot-materialised exactly
+        // once, so a self-join (e.g. band-joining `sys.queries` with
+        // itself) sees one consistent snapshot on both sides. Built
+        // before the catalog guard is taken — `sys.relations` reads the
+        // catalog itself.
+        let mut sys: HashMap<&str, BoundRelation> = HashMap::new();
+        for base in bases.iter().filter(|b| crate::sys::is_sys(b)) {
+            if !sys.contains_key(base.as_str()) {
+                sys.insert(base, self.sys_snapshot(base)?);
+            }
+        }
         let catalog = self.shared.catalog.read();
-        let stats: Vec<RelationStats> =
-            q.schemas
-                .iter()
-                .map(|s| {
-                    catalog.stats.get(s.name()).cloned().ok_or_else(|| {
-                        EngineError::RelationNotLoaded {
-                            name: s.name().to_string(),
-                        }
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-        let bases: Vec<String> = q
-            .schemas
+        let inputs = bases
             .iter()
-            .map(|s| {
-                catalog
-                    .bases
-                    .get(s.name())
-                    .cloned()
-                    .unwrap_or_else(|| s.name().to_string())
+            .map(|base| match sys.get(base.as_str()) {
+                Some(snapshot) => Ok(snapshot.clone()),
+                None => catalog
+                    .entries
+                    .get(base)
+                    .map(CatalogEntry::bound)
+                    .ok_or_else(|| EngineError::RelationNotLoaded { name: base.clone() }),
             })
-            .collect();
-        Ok((stats, bases, catalog.epoch))
+            .collect::<Result<_, _>>()?;
+        Ok(Bindings {
+            inputs,
+            bases,
+            epoch: catalog.epoch,
+        })
     }
 
-    /// Price an (augmented) query and reserve its `k_P` slice: snapshot
-    /// statistics, fetch or compute the plan artifact (shared plan
-    /// cache, epoch-verified), and admit with its unit estimate and
+    /// Price an (augmented) query and reserve its `k_P` slice: resolve
+    /// its bindings ([`Engine::bind`], given the SQL FROM clause `from`
+    /// if there is one), fetch or compute the plan artifact (shared
+    /// plan cache, epoch-verified), and admit with its unit estimate and
     /// predicted makespan as the scheduler's SJF key. A degraded grant
     /// replans at the granted `k` before execution starts (cached per
     /// `k`, so repeated degradations of the same shape also skip
@@ -1028,6 +1100,7 @@ impl Engine {
     pub(crate) fn admit_for(
         &self,
         q: &MultiwayQuery,
+        from: Option<&[(String, String)]>,
         opts: &RunOptions,
         shape: Option<&str>,
     ) -> Result<Admitted, EngineError> {
@@ -1036,7 +1109,8 @@ impl Engine {
         let traced = opts.tracing_enabled();
         let mut spans = Vec::new();
         let planner = self.planner();
-        let (owned_stats, bases, epoch) = self.snapshot_stats(q)?;
+        let bindings = self.bind(q, from)?;
+        let epoch = bindings.epoch;
         let k_full = self.shared.cluster.config().processing_units;
         // The deadline clock starts here, before admission: a query
         // stuck in the admission queue past its deadline is refused
@@ -1049,17 +1123,8 @@ impl Engine {
         // and executes on an admission-exempt zero-unit ticket, so
         // introspection still answers while the unit budget is
         // exhausted, the queue is full, or the scheduler is draining.
-        if bases.iter().any(|b| crate::sys::is_sys(b)) {
-            return self.admit_sys(
-                q,
-                opts,
-                planner,
-                owned_stats,
-                epoch,
-                cancel,
-                trace_id,
-                started,
-            );
+        if bindings.reads_sys() {
+            return self.admit_sys(q, opts, planner, bindings, cancel, trace_id, started);
         }
         // Size the slice this query needs. The paper's planner packs
         // its jobs into a peak concurrent allotment we can price
@@ -1069,20 +1134,16 @@ impl Engine {
         // they carry no plan artifact either.
         match opts.get_method() {
             Method::Ours | Method::OursGrid => {
-                let stats: Vec<&RelationStats> = owned_stats.iter().collect();
+                let stats = BoundRelation::stats_of(&bindings.inputs);
                 // The cache key is the query's *shape*: its Display
                 // form with the caller-chosen query name dropped
-                // (run_sql names every query "sql"/"sql<i>"/"server")
-                // and per-query alias namespaces stripped, so every run
-                // of the same text shares one entry — plus the *base
-                // tables* each instance binds to, so shape-identical
-                // queries over different bases (whose statistics
-                // differ) never share a plan.
-                let key_prefix = format!(
-                    "{}|{}",
-                    shape.map_or_else(|| query_shape(q), str::to_string),
-                    bases.join(",")
-                );
+                // (run_sql names every query "sql"/"sql<i>"/"server"),
+                // so every run of the same text shares one entry — plus
+                // the bases it binds.
+                let key_prefix = match shape {
+                    Some(shape) => bindings.key_prefix(shape),
+                    None => bindings.key_prefix(&query_shape(q)),
+                };
                 let mut plan_span = Span::enter("plan");
                 let (plan, cache_hit) =
                     self.plan_for(&planner, q, &stats, &key_prefix, k_full, epoch, false)?;
@@ -1131,11 +1192,10 @@ impl Engine {
                 }
                 Ok(Admitted {
                     planner,
-                    stats: owned_stats,
+                    bindings,
                     ticket,
                     plan: Some(plan),
                     key_prefix: Some(key_prefix),
-                    epoch,
                     cancel,
                     trace_id,
                     spans,
@@ -1158,11 +1218,10 @@ impl Engine {
                 }
                 Ok(Admitted {
                     planner,
-                    stats: owned_stats,
+                    bindings,
                     ticket,
                     plan: None,
                     key_prefix: None,
-                    epoch,
                     cancel,
                     trace_id,
                     spans,
@@ -1185,8 +1244,7 @@ impl Engine {
         q: &MultiwayQuery,
         opts: &RunOptions,
         planner: Arc<Planner>,
-        owned_stats: Vec<RelationStats>,
-        epoch: u64,
+        bindings: Bindings,
         cancel: Option<CancelToken>,
         trace_id: u64,
         started: std::time::Instant,
@@ -1196,8 +1254,8 @@ impl Engine {
         let mut spans = Vec::new();
         let plan = match opts.get_method() {
             Method::Ours | Method::OursGrid => {
-                let stats: Vec<&RelationStats> = owned_stats.iter().collect();
                 let mut plan_span = Span::enter("plan");
+                let stats = BoundRelation::stats_of(&bindings.inputs);
                 let plan = Arc::new(planner.plan_query(q, &stats, k_full)?);
                 plan_span.meta("cache", "bypass");
                 plan_span.meta("units", plan.units);
@@ -1226,11 +1284,10 @@ impl Engine {
         }
         Ok(Admitted {
             planner,
-            stats: owned_stats,
+            bindings,
             ticket,
             plan,
             key_prefix: None,
-            epoch,
             cancel,
             trace_id,
             spans,
@@ -1369,7 +1426,7 @@ impl Engine {
     ) -> Result<QueryRun, EngineError> {
         let cluster = &self.shared.cluster;
         let method = opts.get_method();
-        let stats: Vec<&RelationStats> = admitted.stats.iter().collect();
+        let inputs = &admitted.bindings.inputs;
         let mut exec_opts = opts.exec_options();
         exec_opts.ticket = admitted.ticket.id();
         exec_opts.sink = sink;
@@ -1385,16 +1442,16 @@ impl Engine {
                     .plan
                     .as_ref()
                     .expect("ours admission always carries a plan artifact");
-                planner.try_execute_planned(q, plan, &stats, cluster, &exec_opts)
+                planner.try_execute_planned(q, plan, inputs, cluster, &exec_opts)
             }
             Method::YSmart => {
-                planner.try_execute_baseline(Baseline::YSmart, q, &stats, cluster, &exec_opts)
+                planner.try_execute_baseline(Baseline::YSmart, q, inputs, cluster, &exec_opts)
             }
             Method::Hive => {
-                planner.try_execute_baseline(Baseline::Hive, q, &stats, cluster, &exec_opts)
+                planner.try_execute_baseline(Baseline::Hive, q, inputs, cluster, &exec_opts)
             }
             Method::Pig => {
-                planner.try_execute_baseline(Baseline::Pig, q, &stats, cluster, &exec_opts)
+                planner.try_execute_baseline(Baseline::Pig, q, inputs, cluster, &exec_opts)
             }
         };
         let method_label: [(&str, &str); 1] = [("method", method.as_str())];
@@ -1453,7 +1510,11 @@ impl Engine {
             }
         };
         if opts.skipping_enabled() {
-            self.note_run_skipping(&run, admitted.key_prefix.as_deref(), admitted.epoch);
+            self.note_run_skipping(
+                &run,
+                admitted.key_prefix.as_deref(),
+                admitted.bindings.epoch,
+            );
         }
         // Observation only, below this line: trace-id stamping, the
         // profile tree, metrics and the slow-query log never feed back
@@ -1628,17 +1689,27 @@ impl Engine {
     /// size), all under the same options. Results are returned in input
     /// order; each query fails independently. Shared engine state is
     /// read-only during execution and every run's intermediate DFS
-    /// files are namespaced, so results are identical to sequential
+    /// files are tagged per run, so results are identical to sequential
     /// [`Engine::run`] calls.
     pub fn run_many(
         &self,
         queries: &[&MultiwayQuery],
         opts: &RunOptions,
     ) -> Vec<Result<QueryRun, EngineError>> {
+        self.run_batch(queries.len(), opts, |i| self.run(queries[i], opts))
+    }
+
+    /// Run `n` independent jobs on a scoped thread pool (one worker per
+    /// host core, capped at `n`), returning results in index order.
+    fn run_batch(
+        &self,
+        n: usize,
+        opts: &RunOptions,
+        run: impl Fn(usize) -> Result<QueryRun, EngineError> + Sync,
+    ) -> Vec<Result<QueryRun, EngineError>> {
         if opts.wants_calibration() {
             self.ensure_calibrated();
         }
-        let n = queries.len();
         let workers = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(4)
@@ -1653,7 +1724,7 @@ impl Engine {
                     if i >= n {
                         break;
                     }
-                    *slots[i].lock() = Some(self.run(queries[i], opts));
+                    *slots[i].lock() = Some(run(i));
                 });
             }
         });
@@ -1671,10 +1742,10 @@ impl Engine {
 
     /// Parse a SQL query against the loaded base relations. The
     /// returned [`ParsedQuery`] lists each FROM-clause `(alias, base)`
-    /// instance. Parsing alone does **not** register aliases —
-    /// [`Engine::run_sql`]/[`Engine::run_sql_many`] do, or call
-    /// [`Engine::load_alias_of`] per instance before
-    /// [`Engine::run`]ning a parsed query yourself.
+    /// instance. Parsing binds nothing; [`Engine::run_sql`] and
+    /// [`Engine::execute`] bind the instances per run. To
+    /// [`Engine::run`] `parsed.query` yourself, first load each alias
+    /// as a catalog instance ([`Engine::load_alias_of`]).
     pub fn parse_sql(&self, name: &str, sql: &str) -> Result<ParsedQuery, EngineError> {
         let catalog = self.shared.catalog.read();
         let resolver = |base: &str| -> Option<Schema> {
@@ -1682,16 +1753,16 @@ impl Engine {
                 return crate::sys::schema_of(base);
             }
             catalog
-                .relations
+                .entries
                 .get(base)
-                .map(|rel| base_schema(rel.schema()))
+                .map(|e| base_schema(e.relation.schema()))
         };
         mwtj_query::parse_sql(name, sql, &resolver).map_err(EngineError::from)
     }
 
     /// Parse a statement — a query optionally prefixed with `EXPLAIN`
     /// or `EXPLAIN ANALYZE` — against the loaded base relations.
-    /// Like [`Engine::parse_sql`], parsing registers nothing.
+    /// Like [`Engine::parse_sql`], parsing binds nothing.
     pub fn parse_statement(
         &self,
         name: &str,
@@ -1703,22 +1774,24 @@ impl Engine {
                 return crate::sys::schema_of(base);
             }
             catalog
-                .relations
+                .entries
                 .get(base)
-                .map(|rel| base_schema(rel.schema()))
+                .map(|e| base_schema(e.relation.schema()))
         };
         mwtj_query::parse_statement(name, sql, &resolver).map_err(EngineError::from)
     }
 
     /// Parse and execute a SQL query end-to-end with default options:
-    /// parse → register per-query alias instances → plan → execute.
+    /// parse → bind the FROM clause → plan → execute.
     ///
-    /// Each run binds its FROM-clause aliases in a private namespace
-    /// (internal instance names, rewritten back to the public aliases
-    /// on output), so concurrent tenants can bind the same alias to
+    /// Each run binds its FROM-clause aliases to their bases' sealed
+    /// files in a per-query binding table, resolved once at admission
+    /// under a catalog read lock: nothing enters the catalog or the
+    /// DFS, so concurrent tenants can bind the same alias to
     /// *different* bases without an `AliasConflict` — the engine-global
     /// alias limit applies only to explicit [`Engine::load_alias_of`]
-    /// bindings.
+    /// bindings — and a run keeps the data it bound even if a base is
+    /// reloaded meanwhile.
     pub fn run_sql(&self, sql: &str) -> Result<QueryRun, EngineError> {
         self.run_sql_with("sql", sql, &RunOptions::default())
     }
@@ -1740,95 +1813,35 @@ impl Engine {
         self.execute(&prepared, &[], opts)
     }
 
-    /// Parse several SQL queries, register their per-query alias
-    /// namespaces, and execute them concurrently via
-    /// [`Engine::run_many`]. Results come back in input order; a query
-    /// that fails to parse fails alone, and two queries binding the
-    /// same alias to different bases do not conflict.
+    /// Parse and execute several SQL queries concurrently (each as
+    /// [`Engine::run_sql_with`] would, named `sql<i>`). Results come
+    /// back in input order; a query that fails to parse fails alone,
+    /// and two queries binding the same alias to different bases do
+    /// not conflict.
     pub fn run_sql_many(
         &self,
         sqls: &[&str],
         opts: &RunOptions,
     ) -> Vec<Result<QueryRun, EngineError>> {
-        type Prep = (ParsedQuery, Vec<(String, String)>);
-        let prepared: Vec<Result<Prep, EngineError>> = sqls
-            .iter()
-            .enumerate()
-            .map(|(i, sql)| {
-                let p = self.parse_sql(&format!("sql{i}"), sql)?;
-                let (ns, renames) = self.namespace_instances(&p);
-                if let Err(e) = self.register_instances(&ns) {
-                    // Drop whatever part of the namespace did register.
-                    for (internal, _) in &ns.instances {
-                        self.unload_quiet(internal);
-                    }
-                    return Err(e);
-                }
-                Ok((ns, renames))
-            })
-            .collect();
-        let runnable: Vec<&MultiwayQuery> = prepared
-            .iter()
-            .filter_map(|p| p.as_ref().ok().map(|(ns, _)| &ns.query))
-            .collect();
-        let mut executed = self.run_many(&runnable, opts).into_iter();
-        prepared
-            .into_iter()
-            .map(|p| match p {
-                Ok((ns, renames)) => {
-                    let run = executed.next().unwrap_or_else(|| {
-                        Err(EngineError::Exec(ExecError::BadRequest {
-                            detail: "internal: SQL batch slot never executed".into(),
-                        }))
-                    });
-                    for (internal, _) in &ns.instances {
-                        self.unload_quiet(internal);
-                    }
-                    run.map(|r| restore_public_names(r, &renames))
-                }
-                Err(e) => Err(e),
-            })
-            .collect()
+        self.run_batch(sqls.len(), opts, |i| {
+            self.run_sql_with(&format!("sql{i}"), sqls[i], opts)
+        })
     }
 
-    /// Rewrite `parsed`'s instances into this engine's next private
-    /// query namespace.
-    pub(crate) fn namespace_instances(
-        &self,
-        parsed: &ParsedQuery,
-    ) -> (ParsedQuery, Vec<(String, String)>) {
-        let tag = self.shared.next_query.fetch_add(1, Ordering::Relaxed);
-        parsed.namespaced(&format!("__q{tag}_"))
-    }
-
-    /// Register every FROM-clause instance of `parsed`, sharing rows
-    /// and statistics with its base table. [`Engine::load_alias_of`] is
-    /// idempotent and rejects rebinding an alias to a different base,
-    /// so concurrent registrations cannot hand a query the wrong data
-    /// (namespaced instance names never collide in the first place).
-    pub(crate) fn register_instances(&self, parsed: &ParsedQuery) -> Result<(), EngineError> {
-        // Each distinct `sys.` base referenced by this query is
-        // snapshot-materialised exactly once, so a self-join (e.g.
-        // band-joining `sys.queries` with itself) sees one consistent
-        // snapshot on both sides.
-        let mut sys_snapshots: HashMap<String, Relation> = HashMap::new();
-        for (alias, base) in &parsed.instances {
-            if crate::sys::is_sys(base) {
-                if !sys_snapshots.contains_key(base) {
-                    sys_snapshots.insert(base.clone(), augment_with_rid(&self.sys_relation(base)?));
-                }
-                let renamed = sys_snapshots[base].rename(alias);
-                let mut rng = StdRng::seed_from_u64(0x5105 ^ renamed.len() as u64);
-                let stats = RelationStats::collect(&renamed, self.shared.sample_cap, &mut rng);
-                // `register` never bumps the statistics epoch for a
-                // fresh internal instance name, so materialising a
-                // sys snapshot cannot invalidate cached user plans.
-                let _report = self.register(renamed, stats, base.clone());
-            } else {
-                let _report = self.load_alias_of(base, alias)?;
-            }
-        }
-        Ok(())
+    /// One query's snapshot of a `sys.` relation as a bound input: rows
+    /// materialised from live engine state, sampled and sealed into
+    /// blocks like any load, but never entering the catalog, the DFS or
+    /// the metrics registry — it lives exactly as long as the run's
+    /// bindings.
+    fn sys_snapshot(&self, base: &str) -> Result<BoundRelation, EngineError> {
+        let rel = augment_with_rid(&self.sys_relation(base)?);
+        let mut rng = StdRng::seed_from_u64(0x5105 ^ rel.len() as u64);
+        let stats = RelationStats::collect(&rel, self.shared.sample_cap, &mut rng);
+        let file = Dfs::seal(base, &rel, self.shared.cluster.config());
+        Ok(BoundRelation {
+            stats: Arc::new(stats),
+            file: Arc::new(file),
+        })
     }
 
     /// Materialise one `sys.` relation from live engine state — the
@@ -1841,40 +1854,21 @@ impl Engine {
             "sys.scheduler" => crate::sys::scheduler_relation(&self.shared.scheduler.stats()),
             "sys.relations" => {
                 let catalog = self.shared.catalog.read();
-                let dfs = self.shared.cluster.dfs();
                 let mut rows: Vec<crate::sys::RelationRow> = catalog
-                    .relations
+                    .entries
                     .iter()
-                    // Transient `__q<N>_` instances of in-flight runs
-                    // (including this query's own sys snapshots) are
-                    // private to their query; listing them would make
-                    // the relation's contents racy and self-referential.
-                    .filter(|(name, _)| !is_internal_instance(name))
-                    .map(|(name, rel)| {
-                        let (blocks, zoned_blocks) = dfs
-                            .get(name)
-                            .map(|f| {
-                                let zoned = f
-                                    .blocks
-                                    .iter()
-                                    .filter(|b| !b.zones.columns.is_empty())
-                                    .count();
-                                (f.blocks.len() as u64, zoned as u64)
-                            })
-                            .unwrap_or((0, 0));
+                    .map(|(name, e)| {
+                        let blocks = &e.file.blocks;
+                        let zoned = blocks.iter().filter(|b| !b.zones.columns.is_empty());
                         crate::sys::RelationRow {
                             name: name.clone(),
-                            base: catalog
-                                .bases
-                                .get(name)
-                                .cloned()
-                                .unwrap_or_else(|| name.clone()),
-                            rows: rel.len() as u64,
-                            bytes: rel.encoded_bytes() as u64,
-                            blocks,
-                            zoned_blocks,
+                            base: e.base.clone(),
+                            rows: e.relation.len() as u64,
+                            bytes: e.relation.encoded_bytes() as u64,
+                            blocks: blocks.len() as u64,
+                            zoned_blocks: zoned.count() as u64,
                             stats_epoch: catalog.epoch,
-                            layout: rel.layout(),
+                            layout: e.relation.layout(),
                         }
                     })
                     .collect();
@@ -1900,7 +1894,8 @@ impl Engine {
             q.schemas
                 .iter()
                 .map(|s| {
-                    catalog.relations.get(s.name()).cloned().ok_or_else(|| {
+                    let entry = catalog.entries.get(s.name());
+                    entry.map(|e| Arc::clone(&e.relation)).ok_or_else(|| {
                         EngineError::RelationNotLoaded {
                             name: s.name().to_string(),
                         }
@@ -2037,86 +2032,6 @@ fn augment_with_rid(rel: &Relation) -> Relation {
     Relation::from_rows_unchecked(schema, rows)
 }
 
-/// Renames sorted longest-internal-name first, so one instance name
-/// can never mangle another that contains it as a prefix.
-pub(crate) fn sorted_renames(renames: &[(String, String)]) -> Vec<(String, String)> {
-    let mut sorted = renames.to_vec();
-    sorted.sort_by_key(|(internal, _)| std::cmp::Reverse(internal.len()));
-    sorted
-}
-
-/// Apply [`sorted_renames`]-ordered internal→public substitutions.
-pub(crate) fn apply_renames(s: &str, sorted: &[(String, String)]) -> String {
-    let mut out = s.to_string();
-    for (internal, public) in sorted {
-        out = out.replace(internal.as_str(), public.as_str());
-    }
-    out
-}
-
-/// Rewrite a schema's name and field names through the renames.
-pub(crate) fn rename_schema(schema: &Schema, sorted: &[(String, String)]) -> Schema {
-    if sorted.is_empty() {
-        return schema.clone();
-    }
-    let fields: Vec<Field> = schema
-        .fields()
-        .iter()
-        .map(|f| Field::new(apply_renames(&f.name, sorted), f.data_type))
-        .collect();
-    Schema::new(apply_renames(schema.name(), sorted), fields)
-}
-
-/// Rewrite a finished run's output schema, plan description and job
-/// names from internal namespaced instance names back to the public
-/// aliases the SQL query used.
-pub(crate) fn restore_public_names(run: QueryRun, renames: &[(String, String)]) -> QueryRun {
-    let sorted = sorted_renames(renames);
-    let QueryRun {
-        output,
-        plan,
-        predicted_secs,
-        sim_secs,
-        real_secs,
-        mut jobs,
-        ticket,
-        granted_units,
-        trace_id,
-        mut profile,
-    } = run;
-    let schema = rename_schema(output.schema(), &sorted);
-    for m in &mut jobs {
-        m.name = apply_renames(&m.name, &sorted);
-    }
-    if let Some(p) = &mut profile {
-        rename_span_tree(&mut p.root, &sorted);
-    }
-    QueryRun {
-        output: Relation::from_rows_unchecked(schema, output.into_rows()),
-        plan: apply_renames(&plan, &sorted),
-        predicted_secs,
-        sim_secs,
-        real_secs,
-        jobs,
-        ticket,
-        granted_units,
-        trace_id,
-        profile,
-    }
-}
-
-/// Rewrite internal instance names in a profile tree's stages and
-/// metadata back to the public aliases (job spans carry job names).
-fn rename_span_tree(span: &mut SpanRecord, sorted: &[(String, String)]) {
-    span.stage = apply_renames(&span.stage, sorted);
-    for (_, v) in &mut span.meta {
-        *v = apply_renames(v, sorted);
-    }
-    for c in &mut span.children {
-        rename_span_tree(c, sorted);
-    }
-}
-
 /// The flight-recorder entry for one finished (or failed) execution,
 /// assembled read-only from the admission context and the run result.
 /// `run` is `None` on the failure path — the record then carries zero
@@ -2226,36 +2141,6 @@ fn job_span(index: usize, m: &JobMetrics) -> SpanRecord {
             .with_meta("candidates", m.reduce_candidates),
     );
     job
-}
-
-/// Whether `name` is a transient `__q<N>_` internal instance of an
-/// in-flight SQL run (the inverse of [`strip_query_namespaces`]).
-fn is_internal_instance(name: &str) -> bool {
-    let Some(after) = name.strip_prefix("__q") else {
-        return false;
-    };
-    let digits = after.chars().take_while(|c| c.is_ascii_digit()).count();
-    digits > 0 && after[digits..].starts_with('_')
-}
-
-/// Strip `__q<N>_` per-query namespace prefixes, so cache keys built
-/// from query shapes are shared across SQL runs of the same text.
-fn strip_query_namespaces(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(pos) = rest.find("__q") {
-        out.push_str(&rest[..pos]);
-        let after = &rest[pos + 3..];
-        let digits = after.chars().take_while(|c| c.is_ascii_digit()).count();
-        if digits > 0 && after[digits..].starts_with('_') {
-            rest = &after[digits + 1..];
-        } else {
-            out.push_str("__q");
-            rest = after;
-        }
-    }
-    out.push_str(rest);
-    out
 }
 
 #[cfg(test)]
@@ -2437,55 +2322,57 @@ mod tests {
         assert_eq!(st.admitted, 1);
     }
 
+    /// Eight concurrent queries bind the same aliases `t1`/`t2` to
+    /// *different* bases — an engine-global alias registry would refuse
+    /// half of them with `AliasConflict`; per-query bindings share
+    /// nothing to conflict over.
     #[test]
-    fn sql_aliases_are_namespaced_per_query() {
+    fn sql_aliases_bind_per_query() {
         let engine = Engine::with_units(8);
         let r = random_rel("r", 40, 1, 12);
         let s = random_rel("s", 40, 2, 12);
         let _ = engine.load_relation(&r);
         let _ = engine.load_relation(&s);
-        // The same alias `t1` bound to *different* bases in back-to-back
-        // queries: the old engine-global registry refused the second.
-        let a = engine
-            .run_sql("SELECT t1.a FROM r t1, s t2 WHERE t1.a = t2.a")
-            .unwrap();
-        let b = engine
-            .run_sql("SELECT t1.a FROM s t1, r t2 WHERE t1.a = t2.a")
-            .unwrap();
-        // Output schemas carry the *public* aliases, not internal names.
-        assert_eq!(a.output.schema().fields()[0].name, "t1.a");
-        assert_eq!(b.output.schema().fields()[0].name, "t1.a");
+        let baseline = engine.quiescence();
+        let oracle = |left: &Relation, right: &Relation| {
+            let q = QueryBuilder::new("q")
+                .relation(left.schema().clone())
+                .relation(right.schema().clone())
+                .join(left.name(), "a", ThetaOp::Eq, right.name(), "a")
+                .project(left.name(), "a")
+                .build()
+                .unwrap();
+            canonicalize(engine.oracle(&q).unwrap())
+        };
+        let cases = [
+            (
+                "SELECT t1.a FROM r t1, s t2 WHERE t1.a = t2.a",
+                oracle(&r, &s),
+            ),
+            (
+                "SELECT t1.a FROM s t1, r t2 WHERE t1.a = t2.a",
+                oracle(&s, &r),
+            ),
+        ];
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for i in 0..8 {
+                let (engine, barrier, (sql, want)) = (&engine, &barrier, &cases[i % 2]);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let run = engine.run_sql(sql).unwrap();
+                    // The schema carries the query's own alias.
+                    assert_eq!(run.output.schema().fields()[0].name, "t1.a");
+                    assert_eq!(&canonicalize(run.output.into_rows()), want, "{sql}");
+                });
+            }
+        });
         // Shape-identical queries over *different* bases must not share
-        // one admission estimate (the key includes the base bindings).
-        assert_eq!(
-            engine.plan_cache_len(),
-            2,
-            "swapped-base queries collided in the plan cache"
-        );
-        assert!(
-            !a.plan.contains("__q"),
-            "plan leaked internal names: {}",
-            a.plan
-        );
-        assert!(a.jobs.iter().all(|j| !j.name.contains("__q")));
-        // Internal instances are cleaned up afterwards.
+        // one plan (the key includes the base bindings).
+        assert_eq!(engine.plan_cache_len(), 2);
+        // The aliases never became catalog instances.
         assert!(engine.relation("t1").is_none());
-        assert!(engine
-            .cluster()
-            .dfs()
-            .list()
-            .iter()
-            .all(|f| !f.contains("__q")));
-        // And the answer matches the oracle over the bases themselves.
-        let qa = QueryBuilder::new("qa")
-            .relation(r.schema().clone())
-            .relation(s.schema().clone())
-            .join("r", "a", ThetaOp::Eq, "s", "a")
-            .project("r", "a")
-            .build()
-            .unwrap();
-        let want = canonicalize(engine.oracle(&qa).unwrap());
-        assert_eq!(canonicalize(a.output.into_rows()), want);
+        assert_quiescent(&engine, &baseline);
     }
 
     #[test]
@@ -2567,38 +2454,6 @@ mod tests {
         let base = engine.relation("r").unwrap();
         let alias = engine.relation("t1").unwrap();
         assert!(std::ptr::eq(base.rows().as_ptr(), alias.rows().as_ptr()));
-    }
-
-    #[test]
-    fn reload_leaves_in_flight_internal_instances_untouched() {
-        let engine = Engine::with_units(4);
-        let r = random_rel("r", 40, 23, 10);
-        let _ = engine.load_relation(&r);
-        // Simulate an in-flight SQL run's internal instance.
-        let _ = engine.load_alias_of("r", "__q99_t1").unwrap();
-        let before = engine.relation("__q99_t1").unwrap();
-        let r2 = random_rel("r", 200, 24, 10);
-        let _ = engine.load_relation(&r2);
-        // The running query's snapshot must not be swapped under it.
-        let after = engine.relation("__q99_t1").unwrap();
-        assert!(std::ptr::eq(before.rows().as_ptr(), after.rows().as_ptr()));
-        assert_eq!(engine.stats_of("__q99_t1").unwrap().cardinality, 40);
-        // Public aliases do follow the reload.
-        assert_eq!(engine.stats_of("r").unwrap().cardinality, 200);
-    }
-
-    #[test]
-    fn internal_instance_detection_and_stripping() {
-        assert!(is_internal_instance("__q12_t1"));
-        assert!(is_internal_instance("__q0_x"));
-        assert!(!is_internal_instance("__query"));
-        assert!(!is_internal_instance("__q_t1"));
-        assert!(!is_internal_instance("t1"));
-        assert_eq!(
-            strip_query_namespaces("q: __q3_a ⋈ __q3_b ON __q3_a.x<__q3_b.x"),
-            "q: a ⋈ b ON a.x<b.x"
-        );
-        assert_eq!(strip_query_namespaces("__qx no match"), "__qx no match");
     }
 
     #[test]

@@ -3,20 +3,20 @@
 //! render the full lifecycle profile.
 //!
 //! Plain `EXPLAIN` goes through the same machinery an execution would
-//! — per-run alias namespace, statistics snapshot, the shared
-//! epoch-verified plan cache — but stops before admission: no ticket
-//! is taken, no job runs, and the scheduler never sees the query.
+//! — the FROM clause's bindings, the shared epoch-verified plan cache
+//! — but stops before admission: no ticket is taken, no job runs, and
+//! the scheduler never sees the query. It only reads: the catalog and
+//! the DFS are left exactly as they were.
 //! `EXPLAIN ANALYZE` executes normally (admission control included)
 //! with tracing forced on, then reports the per-stage profile tree
 //! next to the plan.
 
-use crate::engine::{augment_query, query_shape, restore_public_names, Engine, Session};
+use crate::engine::{augment_query, query_shape, Engine, Session};
 use crate::error::EngineError;
 use crate::options::{Method, RunOptions};
 use mwtj_obs::next_trace_id;
-use mwtj_planner::QueryRun;
+use mwtj_planner::{BoundRelation, QueryRun};
 use mwtj_query::Statement;
-use mwtj_storage::RelationStats;
 
 /// What `EXPLAIN [ANALYZE]` reports for one statement.
 #[derive(Debug)]
@@ -117,20 +117,8 @@ impl Engine {
         opts: &RunOptions,
     ) -> Result<ExplainReport, EngineError> {
         let run_opts = opts.clone().tracing(true);
-        if run_opts.wants_calibration() {
-            self.ensure_calibrated();
-        }
-        let (ns, renames) = self.namespace_instances(parsed);
-        let bound = ns.bind(&[])?;
-        let result = self.register_instances(&ns).and_then(|()| {
-            let q = augment_query(&bound.query);
-            let admitted = self.admit_for(&q, &run_opts, None)?;
-            self.execute_admitted(&admitted, &q, &run_opts, None)
-        });
-        for (internal, _) in &ns.instances {
-            self.unload_quiet(internal);
-        }
-        let run = restore_public_names(result?, &renames);
+        let (admitted, q) = self.admit_sql(parsed, &[], &run_opts, None)?;
+        let run = self.execute_admitted(&admitted, &q, &run_opts, None)?;
         Ok(ExplainReport {
             trace_id: run.trace_id,
             analyze: true,
@@ -155,84 +143,74 @@ impl Engine {
         if opts.wants_calibration() {
             self.ensure_calibrated();
         }
-        let (ns, renames) = self.namespace_instances(parsed);
-        let bound = ns.bind(&[])?;
+        let q = augment_query(&parsed.bind(&[])?.query);
         let trace_id = next_trace_id();
         let k_p = self.cluster().config().processing_units;
         let method = opts.get_method();
-        let report = self.register_instances(&ns).and_then(|()| {
-            let q = augment_query(&bound.query);
-            match method {
-                Method::Ours | Method::OursGrid => {
-                    let planner = self.planner();
-                    let (owned_stats, bases, epoch) = self.snapshot_stats(&q)?;
-                    let stats: Vec<&RelationStats> = owned_stats.iter().collect();
-                    // `sys.*` queries bypass the plan cache in both
-                    // directions, mirroring admission: the plan prices
-                    // a per-query snapshot no later run will see.
-                    let sys_query = bases.iter().any(|b| crate::sys::is_sys(b));
-                    let key_prefix = format!("{}|{}", query_shape(&q), bases.join(","));
-                    let (plan, cache_hit) = if sys_query {
-                        (
-                            std::sync::Arc::new(planner.plan_query(&q, &stats, k_p)?),
-                            None,
-                        )
-                    } else {
-                        self.plan_for(&planner, &q, &stats, &key_prefix, k_p, epoch, false)
-                            .map(|(plan, hit)| (plan, Some(hit)))?
-                    };
-                    let requested = if sys_query {
-                        0
-                    } else if opts.skipping_enabled() {
-                        self.discounted_units(&key_prefix, plan.units, epoch)
-                    } else {
-                        plan.units
-                    };
-                    let n_shelves = plan
-                        .schedule
-                        .shelves
-                        .iter()
-                        .copied()
-                        .max()
-                        .map_or(0, |m| m + 1);
-                    Ok(ExplainReport {
-                        trace_id,
-                        analyze: false,
-                        method,
-                        plan: format!(
-                            "ours: {} chain MRJ(s) {:?}, {} shelf(s), allotments {:?}",
-                            plan.chosen.len(),
-                            plan.schedule.chosen_masks,
-                            n_shelves,
-                            plan.schedule.allotments
-                        ),
-                        predicted_secs: plan.predicted_secs(),
-                        requested_units: requested,
-                        k_p,
-                        cache_hit,
-                        analyzed: None,
-                    })
-                }
-                Method::YSmart | Method::Hive | Method::Pig => Ok(ExplainReport {
+        match method {
+            Method::Ours | Method::OursGrid => {
+                let planner = self.planner();
+                let bindings = self.bind(&q, Some(&parsed.instances))?;
+                let stats = BoundRelation::stats_of(&bindings.inputs);
+                let epoch = bindings.epoch;
+                // `sys.*` queries bypass the plan cache in both
+                // directions, mirroring admission: the plan prices
+                // a per-query snapshot no later run will see.
+                let sys_query = bindings.reads_sys();
+                let key_prefix = bindings.key_prefix(&query_shape(&q));
+                let (plan, cache_hit) = if sys_query {
+                    (
+                        std::sync::Arc::new(planner.plan_query(&q, &stats, k_p)?),
+                        None,
+                    )
+                } else {
+                    self.plan_for(&planner, &q, &stats, &key_prefix, k_p, epoch, false)
+                        .map(|(plan, hit)| (plan, Some(hit)))?
+                };
+                let requested = if sys_query {
+                    0
+                } else if opts.skipping_enabled() {
+                    self.discounted_units(&key_prefix, plan.units, epoch)
+                } else {
+                    plan.units
+                };
+                let n_shelves = plan
+                    .schedule
+                    .shelves
+                    .iter()
+                    .copied()
+                    .max()
+                    .map_or(0, |m| m + 1);
+                Ok(ExplainReport {
                     trace_id,
                     analyze: false,
                     method,
-                    plan: format!("{method}: k_P-unaware cascade (plans at execution)"),
-                    predicted_secs: 0.0,
-                    requested_units: k_p,
+                    plan: format!(
+                        "ours: {} chain MRJ(s) {:?}, {} shelf(s), allotments {:?}",
+                        plan.chosen.len(),
+                        plan.schedule.chosen_masks,
+                        n_shelves,
+                        plan.schedule.allotments
+                    ),
+                    predicted_secs: plan.predicted_secs(),
+                    requested_units: requested,
                     k_p,
-                    cache_hit: None,
+                    cache_hit,
                     analyzed: None,
-                }),
+                })
             }
-        });
-        for (internal, _) in &ns.instances {
-            self.unload_quiet(internal);
+            Method::YSmart | Method::Hive | Method::Pig => Ok(ExplainReport {
+                trace_id,
+                analyze: false,
+                method,
+                plan: format!("{method}: k_P-unaware cascade (plans at execution)"),
+                predicted_secs: 0.0,
+                requested_units: k_p,
+                k_p,
+                cache_hit: None,
+                analyzed: None,
+            }),
         }
-        let mut report = report?;
-        let sorted = crate::engine::sorted_renames(&renames);
-        report.plan = crate::engine::apply_renames(&report.plan, &sorted);
-        Ok(report)
     }
 }
 
@@ -271,6 +249,7 @@ mod tests {
     #[test]
     fn plain_explain_plans_without_executing() {
         let engine = demo_engine();
+        let baseline = engine.quiescence();
         let opts = RunOptions::default();
         let report = engine
             .explain_sql("q", &format!("EXPLAIN {SQL}"), &opts)
@@ -279,7 +258,6 @@ mod tests {
         assert!(report.analyzed.is_none());
         assert_eq!(report.cache_hit, Some(false), "cold cache");
         assert!(report.plan.starts_with("ours:"), "{}", report.plan);
-        assert!(!report.plan.contains("__q"), "{}", report.plan);
         assert!(report.predicted_secs > 0.0);
         assert!(report.requested_units >= 1 && report.requested_units <= report.k_p);
         // No admission happened, nothing executed.
@@ -297,8 +275,8 @@ mod tests {
         assert!(text.contains("plan: ours:"), "{text}");
         assert!(text.contains("cache: hit"), "{text}");
         assert!(text.contains("trace="), "{text}");
-        // Internal instances were cleaned up.
-        assert!(engine.relation("t1").is_none());
+        // EXPLAIN only reads: the DFS and the catalog are untouched.
+        crate::assert_quiescent(&engine, &baseline);
     }
 
     #[test]
@@ -323,7 +301,6 @@ mod tests {
         let text = report.render();
         assert!(text.contains("rows:"), "{text}");
         assert!(text.contains("execute"), "{text}");
-        assert!(!text.contains("__q"), "internal names leaked: {text}");
         assert_eq!(engine.scheduler().stats().admitted, 1);
     }
 

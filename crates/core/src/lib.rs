@@ -63,8 +63,8 @@ pub mod sys;
 
 pub use benchqueries::{mobile_query, tpch_query, MobileQuery, TpchQuery};
 pub use engine::{
-    Engine, EngineStats, FaultStats, LoadReport, PlanCacheStats, Session, StorageStats,
-    ZoneSkipStats, RID_COLUMN,
+    assert_quiescent, Engine, EngineStats, FaultStats, LoadReport, PlanCacheStats, Quiescence,
+    Session, StorageStats, ZoneSkipStats, RID_COLUMN,
 };
 pub use error::EngineError;
 pub use explain::ExplainReport;

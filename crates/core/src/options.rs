@@ -159,8 +159,8 @@ impl RunOptions {
     /// wall-clock, measured from admission. A run past its deadline is
     /// cancelled cooperatively (checked at task-attempt and
     /// stream-batch granularity) and fails with a typed
-    /// `deadline exceeded` error, releasing its admission ticket,
-    /// namespace and intermediate DFS files like any other failure. A
+    /// `deadline exceeded` error, releasing its admission ticket and
+    /// intermediate DFS files like any other failure. A
     /// queued run whose deadline passes while waiting for admission is
     /// refused without ever running.
     pub fn deadline_ms(mut self, ms: u64) -> Self {

@@ -4,9 +4,9 @@
 //! ([`Engine::prepare_sql`] → [`Prepared`], a reusable
 //! [`ParsedQuery`] template with `?` positional parameters), **plan**
 //! (the engine's shared plan cache of `Arc`-shared
-//! [`QueryPlan`](mwtj_planner::QueryPlan) artifacts, keyed by
-//! namespace-stripped query shape × base bindings × planning `k` and
-//! invalidated by the statistics epoch), and **execute**
+//! [`QueryPlan`](mwtj_planner::QueryPlan) artifacts, keyed by query
+//! shape × base bindings × planning `k` and invalidated by the
+//! statistics epoch), and **execute**
 //! ([`Engine::execute`] / [`Engine::execute_streamed`]). Ad-hoc
 //! [`Engine::run_sql`] is the same three stages composed per call, so
 //! prepared and ad-hoc runs of one query text share a single plan
@@ -40,19 +40,21 @@
 //!   the query's correct rows; plan choice affects cost, never
 //!   results.
 
-use crate::engine::{augment_query, query_shape, restore_public_names, Engine, Session};
+use crate::engine::{augment_query, query_shape, Admitted, Engine, Session};
 use crate::error::EngineError;
 use crate::options::RunOptions;
 use mwtj_obs::Span;
 use mwtj_planner::QueryRun;
-use mwtj_query::ParsedQuery;
+use mwtj_query::{MultiwayQuery, ParsedQuery};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// A prepared statement: the parse stage's reusable product, bound to
 /// the SQL text it was prepared from. Cheap to clone — all clones
 /// share one template — and safe to execute from many sessions
-/// concurrently.
+/// concurrently: the handle holds no data, only the template; each
+/// execution binds the template's FROM clause to the bases' current
+/// files for itself.
 ///
 /// Obtain one with [`Engine::prepare_sql`] (or [`Session::prepare`]);
 /// run it with [`Engine::execute`], [`Engine::execute_streamed`],
@@ -79,8 +81,8 @@ struct PreparedState {
     engine: u64,
     epoch: u64,
     parsed: ParsedQuery,
-    /// The template's namespace-stripped shape (with `?` slots) — the
-    /// plan-cache key prefix every execution of this statement shares.
+    /// The template's shape (with `?` slots) — the plan-cache key
+    /// prefix every execution of this statement shares.
     shape: String,
 }
 
@@ -112,9 +114,9 @@ impl std::fmt::Debug for Prepared {
 }
 
 impl Engine {
-    /// Parse and alias-bind `sql` into a reusable [`Prepared`]
-    /// statement (the first lifecycle stage) without planning or
-    /// executing anything. `?` placeholders in predicate-offset
+    /// Parse `sql` into a reusable [`Prepared`] statement (the first
+    /// lifecycle stage) without binding, planning or executing
+    /// anything. `?` placeholders in predicate-offset
     /// position become positional parameters bound per
     /// [`Engine::execute`].
     pub fn prepare_sql(&self, name: &str, sql: &str) -> Result<Prepared, EngineError> {
@@ -161,16 +163,41 @@ impl Engine {
         Ok((parsed, shape))
     }
 
+    /// The admission sequence every SQL entry point shares: bind
+    /// `params` into the template first (so an arity mismatch costs
+    /// nothing), then admit with the FROM clause's bindings. Admission
+    /// plans from the *template* (param slots intact): one plan
+    /// artifact under the template's cache key, valid for every
+    /// parameter vector — slots disqualify binding-sensitive operators
+    /// at candidate time. Returns the admission and the bound query to
+    /// execute under it; `shape` overrides the plan-cache key shape.
+    pub(crate) fn admit_sql(
+        &self,
+        parsed: &ParsedQuery,
+        params: &[f64],
+        opts: &RunOptions,
+        shape: Option<&str>,
+    ) -> Result<(Admitted, MultiwayQuery), EngineError> {
+        if opts.wants_calibration() {
+            self.ensure_calibrated();
+        }
+        let bound = parsed.bind(params)?;
+        let template = augment_query(&parsed.query);
+        let admitted = self.admit_for(&template, Some(&parsed.instances), opts, shape)?;
+        Ok((admitted, augment_query(&bound.query)))
+    }
+
     /// Execute a prepared statement with `params` bound to its `?`
     /// slots (pass `&[]` for a parameterless statement), under `opts`.
     ///
-    /// The execution binds the statement's alias instances in a fresh
-    /// per-run namespace (concurrent executions of one handle never
-    /// collide), reserves its `k_P` slice through admission control
-    /// sized by the cached plan artifact, and executes that artifact —
-    /// re-planning only when the statistics epoch moved or the grant
-    /// was degraded to a smaller `k` (then cached per `k`). Results and
-    /// simulated Eq. 2–4 metrics are bit-identical to an ad-hoc
+    /// The execution binds the statement's FROM clause to the bases'
+    /// sealed files under one catalog read lock (it writes nothing
+    /// shared, so concurrent executions of one handle cannot collide),
+    /// reserves its `k_P` slice through admission control sized by the
+    /// cached plan artifact, and executes that artifact — re-planning
+    /// only when the statistics epoch moved or the grant was degraded
+    /// to a smaller `k` (then cached per `k`). Results and simulated
+    /// Eq. 2–4 metrics are bit-identical to an ad-hoc
     /// [`Engine::run_sql`] of the same effective text.
     pub fn execute(
         &self,
@@ -178,33 +205,14 @@ impl Engine {
         params: &[f64],
         opts: &RunOptions,
     ) -> Result<QueryRun, EngineError> {
-        if opts.wants_calibration() {
-            self.ensure_calibrated();
-        }
         let parse_span = Span::enter("parse");
         let (parsed, shape) = self.current_parse(prepared)?;
         let parse_record = parse_span.finish();
-        let (ns, renames) = self.namespace_instances(&parsed);
-        // Bind before registering, so an arity mismatch costs nothing.
-        let bound = ns.bind(params)?;
-        let result = self.register_instances(&ns).and_then(|()| {
-            // Admission plans from the *template* (param slots intact):
-            // one plan artifact under the template's cache key, valid
-            // for every binding — slots disqualify binding-sensitive
-            // operators at candidate time. Execution runs the bound
-            // query through that artifact.
-            let q_plan = augment_query(&ns.query);
-            let q_exec = augment_query(&bound.query);
-            let mut admitted = self.admit_for(&q_plan, opts, Some(&shape))?;
-            if opts.tracing_enabled() {
-                admitted.spans.insert(0, parse_record);
-            }
-            self.execute_admitted(&admitted, &q_exec, opts, None)
-        });
-        for (internal, _) in &ns.instances {
-            self.unload_quiet(internal);
+        let (mut admitted, q) = self.admit_sql(&parsed, params, opts, Some(&shape))?;
+        if opts.tracing_enabled() {
+            admitted.spans.insert(0, parse_record);
         }
-        Ok(restore_public_names(result?, &renames))
+        self.execute_admitted(&admitted, &q, opts, None)
     }
 }
 

@@ -19,18 +19,21 @@
 //! * **RAII cancellation** — the admission ticket is held until the
 //!   stream is drained or dropped; dropping a [`QueryStream`] mid-way
 //!   cancels the worker (its next batch send fails), releases the
-//!   ticket, and cleans up the run's namespaced DFS files.
+//!   ticket, and cleans up the run's `__run` intermediates. The
+//!   worker owns the run's bindings — the bases' sealed files — so
+//!   the stream keeps reading the data it bound however long it
+//!   lives, and leaves nothing else behind to clean up.
 //!
 //! Only the *terminal* job streams. Intermediate stages still
 //! materialise to the simulated DFS — the paper's Eq. 2–4 phase
 //! costs are computed from the same byte counts either way.
 
-use crate::engine::{apply_renames, augment_query, rename_schema, sorted_renames, Engine, Session};
+use crate::engine::{augment_query, Admitted, Engine, Session};
 use crate::error::EngineError;
 use crate::options::RunOptions;
 use crate::prepare::Prepared;
 use mwtj_mapreduce::{BatchSink, ExecError, JobMetrics, RowBatch, SinkSpec};
-use mwtj_query::{MultiwayQuery, ParsedQuery};
+use mwtj_query::MultiwayQuery;
 use mwtj_storage::{Relation, Schema};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -153,7 +156,7 @@ impl BatchSink for ChannelSink {
 /// after it returns `Ok(None)`, [`QueryStream::end`] holds the terminal
 /// metrics. Dropping the stream mid-way cancels the run: the worker's
 /// next batch send fails, the run aborts with a `Cancelled` error, its
-/// namespaced DFS intermediates are removed, and the admission ticket
+/// `__run` DFS intermediates are removed, and the admission ticket
 /// is released (the drop blocks until the worker has fully unwound, so
 /// cancellation is deterministic).
 pub struct QueryStream {
@@ -300,22 +303,16 @@ impl Engine {
         opts: &RunOptions,
         stream_opts: &StreamOptions,
     ) -> Result<QueryStream, EngineError> {
+        if opts.wants_calibration() {
+            self.ensure_calibrated();
+        }
         let q = augment_query(query);
-        self.stream_admitted(
-            q.clone(),
-            q,
-            opts,
-            stream_opts,
-            Vec::new(),
-            Vec::new(),
-            None,
-        )
+        let admitted = self.admit_for(&q, None, opts, None)?;
+        Ok(self.stream_admitted(admitted, q, opts, stream_opts))
     }
 
     /// Parse and execute a SQL query end-to-end as a stream (the
-    /// streaming analogue of [`Engine::run_sql_with`]): per-query alias
-    /// namespaces are registered up front and unloaded when the run
-    /// finishes — or when the stream is dropped mid-way. Like
+    /// streaming analogue of [`Engine::run_sql_with`]). Like
     /// [`Engine::run_sql_with`], the plan comes from the shared plan
     /// cache, so a repeated streamed query skips planning too.
     pub fn run_sql_streamed(
@@ -326,7 +323,8 @@ impl Engine {
         stream_opts: &StreamOptions,
     ) -> Result<QueryStream, EngineError> {
         let parsed = self.parse_sql(name, sql)?;
-        self.stream_parsed(&parsed, &[], None, opts, stream_opts)
+        let (admitted, q) = self.admit_sql(&parsed, &[], opts, None)?;
+        Ok(self.stream_admitted(admitted, q, opts, stream_opts))
     }
 
     /// Execute a prepared statement as a stream — the streaming
@@ -341,75 +339,23 @@ impl Engine {
         stream_opts: &StreamOptions,
     ) -> Result<QueryStream, EngineError> {
         let (parsed, shape) = self.current_parse(prepared)?;
-        self.stream_parsed(&parsed, params, Some(&shape), opts, stream_opts)
+        let (admitted, q) = self.admit_sql(&parsed, params, opts, Some(&shape))?;
+        Ok(self.stream_admitted(admitted, q, opts, stream_opts))
     }
 
-    /// Namespace, bind and stream one parsed template; `shape`
-    /// overrides the plan-cache key for prepared statements. Planning
-    /// uses the template (param slots intact — one plan per template),
-    /// execution the bound query.
-    fn stream_parsed(
-        &self,
-        parsed: &ParsedQuery,
-        params: &[f64],
-        shape: Option<&str>,
-        opts: &RunOptions,
-        stream_opts: &StreamOptions,
-    ) -> Result<QueryStream, EngineError> {
-        let (ns, renames) = self.namespace_instances(parsed);
-        let bound = ns.bind(params)?;
-        let cleanup: Vec<String> = ns.instances.iter().map(|(i, _)| i.clone()).collect();
-        let admitted = self.register_instances(&ns).and_then(|()| {
-            self.stream_admitted(
-                augment_query(&ns.query),
-                augment_query(&bound.query),
-                opts,
-                stream_opts,
-                renames,
-                cleanup.clone(),
-                shape,
-            )
-        });
-        match admitted {
-            Ok(stream) => Ok(stream),
-            Err(e) => {
-                // Never admitted: the worker that would normally
-                // unload the namespace does not exist.
-                for instance in &cleanup {
-                    self.unload_quiet(instance);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Admit a query (planned from `q_plan`, the augmented template)
-    /// and spawn the execution worker — running the augmented bound
-    /// `q_exec` — wired to a fresh bounded channel. `renames` map
-    /// internal instance names back to public aliases on the schema
-    /// and end metrics; `cleanup` instances are unloaded when the
-    /// worker finishes for any reason; `shape` overrides the
-    /// plan-cache key (prepared statements).
-    #[allow(clippy::too_many_arguments)]
+    /// Spawn the execution worker for an admitted run of the augmented
+    /// query `q`, wired to a fresh bounded channel. The worker owns the
+    /// admission — ticket and bindings — until the run ends.
     fn stream_admitted(
         &self,
-        q_plan: MultiwayQuery,
-        q_exec: MultiwayQuery,
+        admitted: Admitted,
+        q: MultiwayQuery,
         opts: &RunOptions,
         stream_opts: &StreamOptions,
-        renames: Vec<(String, String)>,
-        cleanup: Vec<String>,
-        shape: Option<&str>,
-    ) -> Result<QueryStream, EngineError> {
-        if opts.wants_calibration() {
-            self.ensure_calibrated();
-        }
-        let admitted = self.admit_for(&q_plan, opts, shape)?;
-        let q = q_exec;
-        let sorted = sorted_renames(&renames);
+    ) -> QueryStream {
         // `augment_query` always materialises a projection, so the
         // output schema is known before execution — schema-first.
-        let schema = rename_schema(&q.output_schema(), &sorted);
+        let schema = q.output_schema();
         let resident = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = sync_channel(stream_opts.channel_depth.max(1));
@@ -430,30 +376,18 @@ impl Engine {
             .name("mwtj-stream".into())
             .spawn(move || {
                 let result = engine.execute_admitted(&admitted, &q, &opts, Some(spec));
-                // Release the reservation before the unload sweep and
-                // before announcing the end: unloads can block on a DFS
-                // namespace lock, and a failed run must not sit on its
-                // processing units while tidying up — a consumer that
-                // has seen StreamEnd must observe the units returned.
+                // Release the reservation before announcing the end: a
+                // consumer that has seen StreamEnd must observe the
+                // units returned.
                 drop(admitted);
-                for instance in &cleanup {
-                    engine.unload_quiet(instance);
-                }
                 let end = result.map(|run| StreamEnd {
                     rows: sink.rows.load(Ordering::Relaxed),
                     batches: sink.batches.load(Ordering::Relaxed),
-                    plan: apply_renames(&run.plan, &sorted),
+                    plan: run.plan,
                     predicted_secs: run.predicted_secs,
                     sim_secs: run.sim_secs,
                     real_secs: run.real_secs,
-                    jobs: run
-                        .jobs
-                        .into_iter()
-                        .map(|mut m| {
-                            m.name = apply_renames(&m.name, &sorted);
-                            m
-                        })
-                        .collect(),
+                    jobs: run.jobs,
                     ticket: run.ticket,
                     granted_units: run.granted_units,
                     trace_id: run.trace_id,
@@ -461,7 +395,7 @@ impl Engine {
                 let _ = tx.send(StreamMsg::End(Box::new(end)));
             })
             .expect("spawn stream worker");
-        Ok(QueryStream {
+        QueryStream {
             schema,
             rx: Some(rx),
             worker: Some(worker),
@@ -469,7 +403,7 @@ impl Engine {
             peak,
             end: None,
             failed: false,
-        })
+        }
     }
 }
 

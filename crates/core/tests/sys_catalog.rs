@@ -12,7 +12,7 @@
 //!   `outcome` values and charge `mwtj_query_outcomes_total`.
 
 use mwtj_core::scheduler::AdmissionPolicy;
-use mwtj_core::{Engine, Method, MetricValue, QueryRun, RunOptions};
+use mwtj_core::{assert_quiescent, Engine, Method, MetricValue, QueryRun, RunOptions};
 use mwtj_hilbert::PartitionStrategy;
 use mwtj_storage::{tuple, DataType, Relation, Schema, Value};
 use rand::rngs::StdRng;
@@ -86,6 +86,7 @@ fn sys_queries_records_runs_and_answers_sql() {
 #[test]
 fn sys_metrics_and_relations_answer_sql() {
     let engine = seeded_engine(8);
+    let baseline = engine.quiescence();
     engine.run_sql(Q).unwrap();
 
     let metrics = engine
@@ -109,17 +110,40 @@ fn sys_metrics_and_relations_answer_sql() {
              WHERE a.rows < b.rows",
         )
         .unwrap();
-    // r (80 rows) and s (60 rows) are both listed; transient __q*
-    // instances are not.
-    let listed: Vec<String> = column(&rels, "b.name")
-        .iter()
-        .map(|v| format!("{v:?}"))
-        .collect();
-    assert!(listed.iter().any(|n| n.contains('r')), "{listed:?}");
-    assert!(
-        listed.iter().all(|n| !n.contains("__q")),
-        "transient instances leaked: {listed:?}"
+    // Exactly the loaded instances are listed — r (80 rows) and s (60
+    // rows), so the one pair with fewer rows on the left is (s, r) —
+    // and this query's own sys snapshots are not among them.
+    assert_eq!(column(&rels, "a.name"), vec![Value::from("s")]);
+    assert_eq!(column(&rels, "b.name"), vec![Value::from("r")]);
+    assert_quiescent(&engine, &baseline);
+}
+
+/// `sys.*` snapshots are bound to their query, never registered as
+/// relations: a sys query publishes no per-relation storage gauge, so
+/// the metrics registry does not grow with the number of sys queries.
+#[test]
+fn sys_queries_do_not_leak_metric_series() {
+    let engine = seeded_engine(8);
+    let sql = "SELECT a.trace_id FROM sys.queries a, sys.queries b \
+               WHERE a.trace_id <= b.trace_id";
+    let mut series_after = Vec::new();
+    for _ in 0..6 {
+        engine.run_sql(sql).unwrap();
+        series_after.push(engine.metrics().series().len());
+    }
+    assert_eq!(
+        series_after[1], series_after[5],
+        "series grew with the number of sys queries: {series_after:?}"
     );
+    // Every `relation` label names a loaded instance, never a query's.
+    for (name, _) in engine.metrics().series() {
+        if let Some((_, label)) = name.split_once("relation=") {
+            assert!(
+                ["r", "s"].contains(&label.trim_matches(|c| c == '"' || c == '}')),
+                "storage gauge for a per-query instance: {name}"
+            );
+        }
+    }
 }
 
 #[test]

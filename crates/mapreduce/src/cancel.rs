@@ -9,8 +9,8 @@
 //! with a typed error — [`ExecError::Cancelled`] for an explicit
 //! cancel, [`ExecError::DeadlineExceeded`] when the token's wall-clock
 //! deadline has passed — so the usual error path releases the
-//! admission ticket, per-run namespace and `__run<tag>_` DFS files
-//! exactly as any other failure does.
+//! admission ticket and `__run<tag>_` DFS files exactly as any other
+//! failure does.
 
 use crate::error::ExecError;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -13,7 +13,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies one block of one file.
@@ -58,25 +57,10 @@ impl DfsFile {
     }
 }
 
-/// Zone maps of one *base* file, kept for alias reuse: a `__q<N>_`
-/// namespaced alias shares its base relation's rows, and the byte-driven
-/// block split is deterministic, so the alias's blocks carry exactly the
-/// base's zones. `rows`/`bytes` guard against reusing a stale entry.
-#[derive(Debug)]
-struct ZoneEntry {
-    rows: usize,
-    bytes: usize,
-    zones: Vec<Arc<BlockZones>>,
-}
-
 /// The file system. Cheap to clone (shared interior).
 #[derive(Debug, Clone, Default)]
 pub struct Dfs {
     inner: Arc<RwLock<HashMap<String, Arc<DfsFile>>>>,
-    /// Per-logical-name zone catalog (see [`ZoneEntry`]).
-    zone_catalog: Arc<RwLock<HashMap<String, ZoneEntry>>>,
-    zone_hits: Arc<AtomicU64>,
-    zone_misses: Arc<AtomicU64>,
 }
 
 impl Dfs {
@@ -85,38 +69,22 @@ impl Dfs {
         Dfs::default()
     }
 
-    /// Store a relation as a file named `name`, splitting into blocks of
-    /// `config.params.block_bytes` and placing `replication` replicas of
-    /// each block on distinct random nodes. Returns the simulated upload
-    /// time in seconds (each datanode uploads from local disk in
-    /// parallel, §6.3: "uploading is performed by each DataNode from
-    /// their local disk").
+    /// Store a relation as a file named `name` ([`Dfs::seal`] then
+    /// [`Dfs::put_file`]). Returns the simulated upload time in seconds.
     pub fn put_relation(&self, name: &str, rel: &Relation, config: &ClusterConfig) -> f64 {
+        self.put_file(name, Arc::new(Self::seal(name, rel, config)), config)
+    }
+
+    /// Split a relation into blocks of `config.params.block_bytes`,
+    /// placing `replication` replicas of each block on distinct random
+    /// nodes (seeded by `name`) and computing each block's zone maps.
+    /// The file is sealed — immutable from here on — but not yet
+    /// visible under any name.
+    pub fn seal(name: &str, rel: &Relation, config: &ClusterConfig) -> DfsFile {
         let mut rng = StdRng::seed_from_u64(hash_name(name));
         let block_bytes = config.params.block_bytes.max(1);
         let nodes: Vec<u32> = (0..config.nodes).collect();
         let arity = rel.schema().arity();
-        // `__q<N>_` aliases are views of their base relation's rows, and
-        // the byte-accumulation split below is deterministic, so their
-        // blocks carry exactly the base's zone maps — reuse them instead
-        // of rescanning every value. `__run<N>_` intermediates never
-        // reuse: different runs can collide on a logical name while
-        // holding different data, and a wrong zone map would prune live
-        // pairs.
-        let logical = logical_file_name(name);
-        let reuse: Option<Vec<Arc<BlockZones>>> = if logical != name && name.starts_with("__q") {
-            let found = self.zone_catalog.read().get(logical).and_then(|e| {
-                (e.rows == rel.len() && e.bytes == rel.encoded_bytes()).then(|| e.zones.clone())
-            });
-            if found.is_some() {
-                self.zone_hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.zone_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            found
-        } else {
-            None
-        };
         let mut blocks: Vec<Block> = Vec::new();
         let mut cur: Vec<Tuple> = Vec::new();
         let mut cur_bytes = 0usize;
@@ -128,7 +96,6 @@ impl Dfs {
         for row in rel.rows() {
             let len = row.encoded_len();
             if cur_bytes + len > block_bytes && !cur.is_empty() {
-                let z = reuse.as_ref().and_then(|v| v.get(blocks.len()));
                 sealed += cur.len();
                 blocks.push(Self::seal_block(
                     &mut cur,
@@ -137,7 +104,6 @@ impl Dfs {
                     config,
                     &mut rng,
                     arity,
-                    z,
                     rel.columns().map(|c| (c.as_ref(), sealed)),
                 ));
             }
@@ -145,7 +111,6 @@ impl Dfs {
             cur.push(row.clone());
         }
         if !cur.is_empty() || blocks.is_empty() {
-            let z = reuse.as_ref().and_then(|v| v.get(blocks.len()));
             sealed += cur.len();
             blocks.push(Self::seal_block(
                 &mut cur,
@@ -154,37 +119,29 @@ impl Dfs {
                 config,
                 &mut rng,
                 arity,
-                z,
                 rel.columns().map(|c| (c.as_ref(), sealed)),
             ));
         }
-        // Base loads (re)register their zones under the logical name;
-        // reloading a relation overwrites, so stale maps cannot outlive
-        // the data they describe.
-        if logical == name {
-            self.zone_catalog.write().insert(
-                name.to_string(),
-                ZoneEntry {
-                    rows: rel.len(),
-                    bytes: rel.encoded_bytes(),
-                    zones: blocks.iter().map(|b| Arc::clone(&b.zones)).collect(),
-                },
-            );
-        }
-        let file = DfsFile {
+        DfsFile {
             schema: rel.schema().clone(),
             blocks,
             bytes: rel.encoded_bytes(),
             rows: rel.len(),
-        };
-        self.inner.write().insert(name.to_string(), Arc::new(file));
+        }
+    }
+
+    /// Publish a sealed file under `name`, replacing any previous file
+    /// of that name. Returns the simulated upload time in seconds (each
+    /// datanode uploads from local disk in parallel, §6.3: "uploading
+    /// is performed by each DataNode from their local disk").
+    pub fn put_file(&self, name: &str, file: Arc<DfsFile>, config: &ClusterConfig) -> f64 {
         // Parallel upload by all datanodes; the pipeline write rate
         // already includes replication (TestDFSIO semantics).
-        let per_node_bytes = rel.encoded_bytes() as f64 / config.nodes.max(1) as f64;
+        let per_node_bytes = file.bytes as f64 / config.nodes.max(1) as f64;
+        self.inner.write().insert(name.to_string(), file);
         per_node_bytes / config.hardware.disk_write_bps
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn seal_block(
         cur: &mut Vec<Tuple>,
         cur_bytes: &mut usize,
@@ -192,7 +149,6 @@ impl Dfs {
         config: &ClusterConfig,
         rng: &mut impl Rng,
         arity: usize,
-        reuse: Option<&Arc<BlockZones>>,
         // The relation's columnar backing plus this block's *end* row
         // index (the block covers `end - cur.len() .. end`).
         columnar: Option<(&mwtj_storage::Columns, usize)>,
@@ -202,21 +158,16 @@ impl Dfs {
         choice.shuffle(rng);
         choice.truncate(k);
         let rows = Arc::new(std::mem::take(cur));
-        let zones = match reuse {
-            // Belt and braces: a reused map must describe a block of
-            // exactly this shape.
-            Some(z) if z.rows == rows.len() as u64 => Arc::clone(z),
+        let zones = match columnar {
             // Columnar backing: one typed min/max pass per column
             // vector (bit-identical to `BlockZones::collect`, pinned
             // by storage tests).
-            _ => match columnar {
-                Some((cols, end))
-                    if end >= rows.len() && end <= cols.len() && cols.arity() == arity =>
-                {
-                    Arc::new(cols.zones_for(end - rows.len()..end))
-                }
-                _ => Arc::new(BlockZones::collect(&rows, arity)),
-            },
+            Some((cols, end))
+                if end >= rows.len() && end <= cols.len() && cols.arity() == arity =>
+            {
+                Arc::new(cols.zones_for(end - rows.len()..end))
+            }
+            _ => Arc::new(BlockZones::collect(&rows, arity)),
         };
         Block {
             rows,
@@ -224,14 +175,6 @@ impl Dfs {
             replicas: choice,
             zones,
         }
-    }
-
-    /// Zone-catalog reuse counters: `(hits, misses)` across alias loads.
-    pub fn zone_cache_stats(&self) -> (u64, u64) {
-        (
-            self.zone_hits.load(Ordering::Relaxed),
-            self.zone_misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Fetch a file.
@@ -267,19 +210,16 @@ fn hash_name(name: &str) -> u64 {
     h.finish()
 }
 
-/// The logical view of a DFS file name: per-run namespace prefixes —
-/// `__q<N>_` alias instances of one SQL run, `__run<N>_` intermediate
-/// files — are transient renamings of the same logical data. Block
-/// seeding and the zone catalog key on the logical name so namespaced
-/// runs behave (and share metadata) exactly like their base relations.
+/// The logical view of a DFS file name: the per-run `__run<N>_` prefix
+/// of an intermediate file is a transient renaming of the same logical
+/// data. Block seeding keys on the logical name, so every run of one
+/// query seeds its map tasks identically.
 pub fn logical_file_name(file: &str) -> &str {
-    for prefix in ["__q", "__run"] {
-        if let Some(after) = file.strip_prefix(prefix) {
-            let digits = after.chars().take_while(|c| c.is_ascii_digit()).count();
-            if digits > 0 {
-                if let Some(rest) = after[digits..].strip_prefix('_') {
-                    return rest;
-                }
+    if let Some(after) = file.strip_prefix("__run") {
+        let digits = after.chars().take_while(|c| c.is_ascii_digit()).count();
+        if digits > 0 {
+            if let Some(rest) = after[digits..].strip_prefix('_') {
+                return rest;
             }
         }
     }
@@ -425,40 +365,33 @@ mod tests {
         }
     }
 
+    /// A sealed file can be scanned without ever entering the
+    /// namespace, and publishing it stores that very file.
     #[test]
-    fn alias_reuses_base_zone_maps() {
+    fn seal_then_put_file_is_put_relation() {
         let cfg = ClusterConfig::default();
         let dfs = Dfs::new();
         let r = rel(20_000);
-        dfs.put_relation("t", &r, &cfg);
-        dfs.put_relation("__q7_t", &r, &cfg);
-        assert_eq!(dfs.zone_cache_stats(), (1, 0));
-        let base = dfs.get("t").unwrap();
-        let alias = dfs.get("__q7_t").unwrap();
-        assert_eq!(base.blocks.len(), alias.blocks.len());
-        for (b, a) in base.blocks.iter().zip(&alias.blocks) {
-            assert!(Arc::ptr_eq(&b.zones, &a.zones), "zones not shared");
+        let sealed = Arc::new(Dfs::seal("t", &r, &cfg));
+        assert!(dfs.list().is_empty(), "sealing alone publishes nothing");
+        let secs = dfs.put_file("t", Arc::clone(&sealed), &cfg);
+        assert!(Arc::ptr_eq(&dfs.get("t").unwrap(), &sealed));
+        let other = Dfs::new();
+        assert_eq!(other.put_relation("t", &r, &cfg), secs);
+        let stored = other.get("t").unwrap();
+        assert_eq!(stored.blocks.len(), sealed.blocks.len());
+        for (a, b) in stored.blocks.iter().zip(&sealed.blocks) {
+            assert_eq!(a.rows, b.rows);
+            assert_eq!(a.replicas, b.replicas);
+            assert_eq!(*a.zones, *b.zones);
         }
-        // `__run` intermediates never reuse (logical-name collisions
-        // across runs could carry different data).
-        dfs.put_relation("__run1_t", &r, &cfg);
-        assert_eq!(dfs.zone_cache_stats(), (1, 0));
-        let run = dfs.get("__run1_t").unwrap();
-        for (b, a) in base.blocks.iter().zip(&run.blocks) {
-            assert!(!Arc::ptr_eq(&b.zones, &a.zones));
-            assert_eq!(*b.zones, *a.zones, "fresh maps still equal");
-        }
-        // An alias of missing/changed data misses the catalog.
-        dfs.put_relation("__q8_other", &rel(10), &cfg);
-        assert_eq!(dfs.zone_cache_stats(), (1, 1));
     }
 
     #[test]
     fn logical_names_strip_namespaces() {
-        assert_eq!(logical_file_name("__q12_trades"), "trades");
         assert_eq!(logical_file_name("__run3_mid"), "mid");
         assert_eq!(logical_file_name("trades"), "trades");
-        assert_eq!(logical_file_name("__qx_t"), "__qx_t");
+        assert_eq!(logical_file_name("__runx_t"), "__runx_t");
     }
 
     #[test]

@@ -308,12 +308,15 @@ impl Engine {
         // ---- collect input blocks (map tasks) ----
         let mut files = Vec::with_capacity(inputs.len());
         for spec in inputs {
-            let file = self
-                .dfs
-                .get(&spec.file)
-                .ok_or_else(|| ExecError::MissingFile {
-                    name: spec.file.clone(),
-                })?;
+            let file = match &spec.bound {
+                Some(file) => std::sync::Arc::clone(file),
+                None => self
+                    .dfs
+                    .get(&spec.file)
+                    .ok_or_else(|| ExecError::MissingFile {
+                        name: spec.file.clone(),
+                    })?,
+            };
             files.push(file);
         }
         // Zone-map routing: let the job compile a skip filter over the
@@ -1033,11 +1036,11 @@ impl Ord for NotNanF64 {
 }
 
 /// Per-task seed for deterministic pseudo-random draws: hashes the job
-/// name, the *logical* file name (per-run `__q<N>_`/`__run<N>_`
-/// namespace prefixes are transient renamings of the same logical data,
-/// so re-running a query — ad-hoc, prepared or streamed — stays
-/// bit-identical in row order *and* simulated metrics) and the block's
-/// original index, which skipping never renumbers.
+/// name, the input's *logical* label (a bound base input is labelled
+/// with the query's alias, and the per-run `__run<N>_` prefix of an
+/// intermediate is dropped, so re-running a query — ad-hoc, prepared or
+/// streamed — stays bit-identical in row order *and* simulated metrics)
+/// and the block's original index, which skipping never renumbers.
 fn block_seed(job: &str, file: &str, block: u64) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();

@@ -46,8 +46,8 @@ pub enum ExecError {
     /// One task kept failing (injected fault or a real caught panic)
     /// until its attempt budget ran out. The whole job — and the query
     /// above it — fails with this typed error instead of a panic; the
-    /// admission ticket, per-run namespace and intermediate DFS files
-    /// are released on the ordinary error path.
+    /// admission ticket and intermediate DFS files are released on the
+    /// ordinary error path.
     TaskFailed {
         /// Which phase the task belonged to (`"map"` or `"reduce"`).
         stage: &'static str,

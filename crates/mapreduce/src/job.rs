@@ -10,25 +10,42 @@
 //! emit value hashes; 1-Bucket-Theta emits rectangle ids; merges emit
 //! shared-key hashes.
 
+use crate::dfs::DfsFile;
 use mwtj_storage::{BlockZones, Schema, Tuple};
 use std::sync::Arc;
 
 /// One input file with its chain tag.
 #[derive(Debug, Clone)]
 pub struct InputSpec {
-    /// DFS file name.
+    /// The input's label: with the job name and block index it seeds
+    /// the map tasks, and when no file is [`InputSpec::bound`] it is
+    /// the DFS file name to read.
     pub file: String,
     /// Tag delivered to the mapper with every row of this file
     /// (typically the relation's index in the job's chain).
     pub tag: u8,
+    /// A sealed file the caller already holds (a query's base relation,
+    /// bound once at admission). `None` reads `file` from the DFS by
+    /// name when the job starts (intermediates).
+    pub bound: Option<Arc<DfsFile>>,
 }
 
 impl InputSpec {
-    /// Build an input spec.
+    /// An input read from the DFS by name.
     pub fn new(file: impl Into<String>, tag: u8) -> Self {
         InputSpec {
             file: file.into(),
             tag,
+            bound: None,
+        }
+    }
+
+    /// An input over an already-resolved file, labelled `label`.
+    pub fn bound(label: impl Into<String>, file: Arc<DfsFile>, tag: u8) -> Self {
+        InputSpec {
+            file: label.into(),
+            tag,
+            bound: Some(file),
         }
     }
 }

@@ -27,5 +27,7 @@ pub mod setcover;
 
 pub use error::PlanError;
 pub use gjp::{build_gjp, CandidateOp, GjpOptions, MrjCandidate};
-pub use plan::{Baseline, ExecOptions, ExecutablePlan, FaultTotals, Planner, QueryPlan, QueryRun};
+pub use plan::{
+    Baseline, BoundRelation, ExecOptions, ExecutablePlan, FaultTotals, Planner, QueryPlan, QueryRun,
+};
 pub use setcover::{exhaustive_cover, greedy_cover, CoverResult};

@@ -15,7 +15,7 @@ use mwtj_cost::{schedule_malleable, CostModel, MalleableJob};
 use mwtj_hilbert::PartitionStrategy;
 use mwtj_join::{ChainThetaJob, IntermediateShape, PairJob, PairStrategy};
 use mwtj_mapreduce::{
-    BatchSink, CancelToken, Cluster, ExecError, FaultPlan, InputSpec, JobMetrics, PlanJob,
+    BatchSink, CancelToken, Cluster, DfsFile, ExecError, FaultPlan, InputSpec, JobMetrics, PlanJob,
     PlanStage, RowBatch, SinkSpec,
 };
 use mwtj_obs::QueryProfile;
@@ -31,6 +31,36 @@ static NEXT_RUN_TAG: AtomicU64 = AtomicU64::new(0);
 
 fn fresh_run_tag() -> u64 {
     NEXT_RUN_TAG.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One base relation of a query as execution sees it, resolved once by
+/// the caller: the statistics the plan is priced from and the sealed
+/// DFS file the map tasks scan. Execution never looks a base relation
+/// up by name — the query's schema name only labels the input.
+#[derive(Debug, Clone)]
+pub struct BoundRelation {
+    /// Statistics of the bound relation.
+    pub stats: Arc<RelationStats>,
+    /// The relation's sealed blocks.
+    pub file: Arc<DfsFile>,
+}
+
+impl BoundRelation {
+    /// The statistics of `inputs`, in relation-index order — the form
+    /// [`Planner::plan_query`] takes.
+    pub fn stats_of(inputs: &[BoundRelation]) -> Vec<&RelationStats> {
+        inputs.iter().map(|i| i.stats.as_ref()).collect()
+    }
+}
+
+/// Relation `rel` of `query` as a job input: its bound file, labelled
+/// with the query's own name for it.
+fn base_input(query: &MultiwayQuery, inputs: &[BoundRelation], rel: usize, tag: u8) -> InputSpec {
+    InputSpec::bound(
+        query.schemas[rel].name(),
+        Arc::clone(&inputs[rel].file),
+        tag,
+    )
 }
 
 /// Execution knobs threaded from the public API: partition strategy for
@@ -156,7 +186,7 @@ fn projection_cols(query: &MultiwayQuery, shape: &IntermediateShape) -> Option<V
 
 /// Remove every intermediate DFS file a failed or cancelled run left
 /// behind (all files carry the run's `__run<tag>_` namespace prefix) —
-/// a dropped result stream must not leak namespaced files.
+/// a dropped result stream must not leak run-tagged files.
 fn cleanup_run_files(cluster: &Cluster, run_tag: u64) {
     let prefix = format!("__run{run_tag}_");
     for file in cluster.dfs().list() {
@@ -298,10 +328,10 @@ pub struct ExecutablePlan {
 ///
 /// This is the middle stage of the prepared-query lifecycle: parse →
 /// **plan** → execute. The artifact is self-contained and
-/// namespace-free (candidates reference relations and conditions by
+/// name-free (candidates reference relations and conditions by
 /// *index*), so one `Arc<QueryPlan>` can be shared by every execution
-/// of the same query shape — across parameter bindings, sessions and
-/// per-run alias namespaces. Executing a cached plan via
+/// of the same query shape — across parameter bindings and sessions.
+/// Executing a cached plan via
 /// [`Planner::try_execute_planned`] skips the planning pipeline
 /// entirely and is bit-identical (rows *and* Eq. 2–4 simulated
 /// metrics) to planning afresh, because planning is deterministic in
@@ -555,10 +585,10 @@ impl Planner {
     pub fn execute_ours(
         &self,
         query: &MultiwayQuery,
-        stats: &[&RelationStats],
+        inputs: &[BoundRelation],
         cluster: &Cluster,
     ) -> QueryRun {
-        self.try_execute_ours(query, stats, cluster, &ExecOptions::default())
+        self.try_execute_ours(query, inputs, cluster, &ExecOptions::default())
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -571,13 +601,13 @@ impl Planner {
     pub fn execute_ours_with(
         &self,
         query: &MultiwayQuery,
-        stats: &[&RelationStats],
+        inputs: &[BoundRelation],
         cluster: &Cluster,
         strategy: PartitionStrategy,
     ) -> QueryRun {
         self.try_execute_ours(
             query,
-            stats,
+            inputs,
             cluster,
             &ExecOptions {
                 strategy,
@@ -590,23 +620,27 @@ impl Planner {
     /// Plan and execute with the paper's method, returning a typed
     /// error instead of panicking. `opts` carries the partition
     /// strategy and an optional per-run fault profile; intermediate DFS
-    /// files are namespaced per run, so independent queries can execute
+    /// files are tagged per run, so independent queries can execute
     /// concurrently over one shared cluster.
     pub fn try_execute_ours(
         &self,
         query: &MultiwayQuery,
-        stats: &[&RelationStats],
+        inputs: &[BoundRelation],
         cluster: &Cluster,
         opts: &ExecOptions,
     ) -> Result<QueryRun, PlanError> {
-        let plan = self.plan_query(query, stats, opts.effective_units(cluster))?;
-        self.try_execute_planned(query, &plan, stats, cluster, opts)
+        let plan = self.plan_query(
+            query,
+            &BoundRelation::stats_of(inputs),
+            opts.effective_units(cluster),
+        )?;
+        self.try_execute_planned(query, &plan, inputs, cluster, opts)
     }
 
     /// Execute an already-planned query: the third stage of the
     /// prepared lifecycle. The artifact must have been planned at the
     /// unit budget this run executes under ([`QueryPlan::k_p`] ==
-    /// effective units) and against statistics equivalent to `stats` —
+    /// effective units) and against the statistics of `inputs` —
     /// the engine's plan cache enforces both (epoch tagging, per-`k`
     /// replan entries). Given that, the run is bit-identical to
     /// [`Planner::try_execute_ours`] while skipping planning entirely.
@@ -614,7 +648,7 @@ impl Planner {
         &self,
         query: &MultiwayQuery,
         plan: &QueryPlan,
-        stats: &[&RelationStats],
+        inputs: &[BoundRelation],
         cluster: &Cluster,
         opts: &ExecOptions,
     ) -> Result<QueryRun, PlanError> {
@@ -629,10 +663,10 @@ impl Planner {
             }));
         }
         let run_tag = fresh_run_tag();
-        let result = self.exec_planned_inner(query, plan, stats, cluster, opts, run_tag);
+        let result = self.exec_planned_inner(query, plan, inputs, cluster, opts, run_tag);
         if result.is_err() {
             // A failed (or stream-cancelled) run must not leak its
-            // namespaced intermediates.
+            // run-tagged intermediates.
             cleanup_run_files(cluster, run_tag);
         }
         result
@@ -642,7 +676,7 @@ impl Planner {
         &self,
         query: &MultiwayQuery,
         qplan: &QueryPlan,
-        stats: &[&RelationStats],
+        bound: &[BoundRelation],
         cluster: &Cluster,
         opts: &ExecOptions,
         run_tag: u64,
@@ -651,7 +685,7 @@ impl Planner {
         let wall = std::time::Instant::now();
         let k_p = qplan.k_p;
         let (chosen, plan) = (&qplan.chosen, &qplan.schedule);
-        let cards: Vec<u64> = stats.iter().map(|s| s.cardinality as u64).collect();
+        let cards: Vec<u64> = bound.iter().map(|i| i.stats.cardinality as u64).collect();
 
         // --- MRJ phase: shelves of concurrent chain jobs ---
         let n_shelves = plan.shelves.iter().copied().max().unwrap_or(0) + 1;
@@ -679,7 +713,7 @@ impl Planner {
                             .dims()
                             .iter()
                             .enumerate()
-                            .map(|(dim, &r)| InputSpec::new(query.schemas[r].name(), dim as u8))
+                            .map(|(dim, &r)| base_input(query, bound, r, dim as u8))
                             .collect();
                         let reducers = job.reducers();
                         let shape = job.out_shape().clone();
@@ -700,8 +734,8 @@ impl Planner {
                             k_r,
                         );
                         let inputs = vec![
-                            InputSpec::new(query.schemas[lrel].name(), 0),
-                            InputSpec::new(query.schemas[rrel].name(), 1),
+                            base_input(query, bound, lrel, 0),
+                            base_input(query, bound, rrel, 1),
                         ];
                         let reducers = job.reducers();
                         let shape = job.out_shape().clone();
@@ -929,26 +963,26 @@ impl Planner {
         &self,
         baseline: Baseline,
         query: &MultiwayQuery,
-        stats: &[&RelationStats],
+        inputs: &[BoundRelation],
         cluster: &Cluster,
     ) -> QueryRun {
-        self.try_execute_baseline(baseline, query, stats, cluster, &ExecOptions::default())
+        self.try_execute_baseline(baseline, query, inputs, cluster, &ExecOptions::default())
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`Planner::execute_baseline`], but returns a typed error
     /// instead of panicking and honours `opts.faults`. Intermediate
-    /// cascade files are namespaced per run for concurrent execution.
+    /// cascade files are tagged per run for concurrent execution.
     pub fn try_execute_baseline(
         &self,
         baseline: Baseline,
         query: &MultiwayQuery,
-        stats: &[&RelationStats],
+        inputs: &[BoundRelation],
         cluster: &Cluster,
         opts: &ExecOptions,
     ) -> Result<QueryRun, PlanError> {
         let run_tag = fresh_run_tag();
-        let result = self.exec_baseline_inner(baseline, query, stats, cluster, opts, run_tag);
+        let result = self.exec_baseline_inner(baseline, query, inputs, cluster, opts, run_tag);
         if result.is_err() {
             cleanup_run_files(cluster, run_tag);
         }
@@ -960,12 +994,13 @@ impl Planner {
         &self,
         baseline: Baseline,
         query: &MultiwayQuery,
-        stats: &[&RelationStats],
+        bound: &[BoundRelation],
         cluster: &Cluster,
         opts: &ExecOptions,
         run_tag: u64,
     ) -> Result<QueryRun, PlanError> {
         let wall = std::time::Instant::now();
+        let stats = BoundRelation::stats_of(bound);
         let k_p = opts.effective_units(cluster);
         let compiled = query.compile()?;
         let order = cascade_order(query);
@@ -975,9 +1010,8 @@ impl Planner {
 
         // Current intermediate: starts as the first base relation.
         let mut cur_shape = IntermediateShape::base(query, order[0]);
-        let mut cur_file = query.schemas[order[0]].name().to_string();
+        let mut cur_input = base_input(query, bound, order[0], 0);
         let mut cur_rows = stats[order[0]].cardinality as u64;
-        let mut cur_is_base = true;
         let mut applied: Vec<bool> = vec![false; query.num_conditions()];
 
         for (step, &next) in order.iter().enumerate().skip(1) {
@@ -991,7 +1025,7 @@ impl Planner {
                 if joins_next && !applied[e] {
                     applied[e] = true;
                     preds.extend(compiled.per_condition[e].iter().copied());
-                    sel *= condition_selectivity(query, e, stats);
+                    sel *= condition_selectivity(query, e, &stats);
                 }
             }
             let right_rows = stats[next].cardinality as u64;
@@ -1027,10 +1061,7 @@ impl Planner {
                 strategy_tag(strategy),
                 job.reducers()
             ));
-            let inputs = [
-                InputSpec::new(&cur_file, 0),
-                InputSpec::new(query.schemas[next].name(), 1),
-            ];
+            let inputs = [cur_input, base_input(query, bound, next, 1)];
             let faults = opts
                 .faults
                 .as_ref()
@@ -1071,12 +1102,12 @@ impl Planner {
             let mut m = run.metrics;
             m.ticket = opts.ticket;
             metrics.push(m);
-            if !cur_is_base {
-                cluster.dfs().remove(&cur_file);
+            // A consumed intermediate (read by name, not a bound base).
+            if inputs[0].bound.is_none() {
+                cluster.dfs().remove(&inputs[0].file);
             }
             cur_shape = out_shape;
             cur_rows = run.output.len() as u64;
-            cur_is_base = false;
             if last {
                 let output = project_rows(query, &cur_shape, run.output.into_rows());
                 return Ok(QueryRun {
@@ -1092,7 +1123,7 @@ impl Planner {
                     profile: None,
                 });
             }
-            cur_file = out_file;
+            cur_input = InputSpec::new(out_file, 0);
         }
         // A connected query has ≥ 2 relations, so the loop always takes
         // the `last` branch; a degenerate single-relation query lands
@@ -1245,17 +1276,19 @@ mod tests {
         )
     }
 
-    fn setup(rels: &[&Relation], k_p: u32) -> (Cluster, Vec<RelationStats>, Planner) {
+    fn setup(rels: &[&Relation], k_p: u32) -> (Cluster, Vec<BoundRelation>, Planner) {
         let cfg = ClusterConfig::with_units(k_p);
         let cluster = Cluster::new(cfg.clone());
-        let mut stats = Vec::new();
+        let mut inputs = Vec::new();
         let mut rng = StdRng::seed_from_u64(99);
         for r in rels {
-            cluster.dfs().put_relation(r.name(), r, &cfg);
-            stats.push(RelationStats::collect(r, 256, &mut rng));
+            inputs.push(BoundRelation {
+                stats: Arc::new(RelationStats::collect(r, 256, &mut rng)),
+                file: Arc::new(mwtj_mapreduce::Dfs::seal(r.name(), r, &cfg)),
+            });
         }
         let planner = Planner::new(CostModel::new(cfg, CalibratedParams::default()));
-        (cluster, stats, planner)
+        (cluster, inputs, planner)
     }
 
     fn three_way() -> (MultiwayQuery, Vec<Relation>) {
@@ -1278,9 +1311,8 @@ mod tests {
     fn ours_matches_oracle_three_way() {
         let (q, rels) = three_way();
         let refs: Vec<&Relation> = rels.iter().collect();
-        let (cluster, stats, planner) = setup(&refs, 32);
-        let srefs: Vec<&RelationStats> = stats.iter().collect();
-        let run = planner.execute_ours(&q, &srefs, &cluster);
+        let (cluster, inputs, planner) = setup(&refs, 32);
+        let run = planner.execute_ours(&q, &inputs, &cluster);
         let want = canonicalize(oracle_join(&q, &refs));
         let got = canonicalize(run.output.into_rows());
         assert_eq!(got, want);
@@ -1294,9 +1326,8 @@ mod tests {
         let refs: Vec<&Relation> = rels.iter().collect();
         let want = canonicalize(oracle_join(&q, &refs));
         for b in [Baseline::Hive, Baseline::Pig, Baseline::YSmart] {
-            let (cluster, stats, planner) = setup(&refs, 32);
-            let srefs: Vec<&RelationStats> = stats.iter().collect();
-            let run = planner.execute_baseline(b, &q, &srefs, &cluster);
+            let (cluster, inputs, planner) = setup(&refs, 32);
+            let run = planner.execute_baseline(b, &q, &inputs, &cluster);
             let got = canonicalize(run.output.into_rows());
             assert_eq!(got, want, "{b:?}");
         }
@@ -1306,9 +1337,8 @@ mod tests {
     fn ours_plan_covers_all_conditions() {
         let (q, rels) = three_way();
         let refs: Vec<&Relation> = rels.iter().collect();
-        let (_cluster, stats, planner) = setup(&refs, 16);
-        let srefs: Vec<&RelationStats> = stats.iter().collect();
-        let (chosen, plan) = planner.plan_ours(&q, &srefs, 16);
+        let (_cluster, inputs, planner) = setup(&refs, 16);
+        let (chosen, plan) = planner.plan_ours(&q, &BoundRelation::stats_of(&inputs), 16);
         let covered: u64 = chosen.iter().fold(0, |m, c| m | c.mask);
         assert_eq!(covered & 0b11, 0b11);
         assert!(plan.predicted_secs > 0.0);
@@ -1354,9 +1384,8 @@ mod tests {
             .build()
             .unwrap();
         let rels = [&r0, &r1, &r2, &r3];
-        let (cluster, stats, planner) = setup(&rels, 24);
-        let srefs: Vec<&RelationStats> = stats.iter().collect();
-        let run = planner.execute_ours(&q, &srefs, &cluster);
+        let (cluster, inputs, planner) = setup(&rels, 24);
+        let run = planner.execute_ours(&q, &inputs, &cluster);
         let want = canonicalize(oracle_join(&q, &rels));
         let got = canonicalize(run.output.into_rows());
         assert_eq!(got.len(), want.len());
@@ -1367,10 +1396,9 @@ mod tests {
     fn pig_requests_fewer_reducers_than_hive() {
         let (q, rels) = three_way();
         let refs: Vec<&Relation> = rels.iter().collect();
-        let (cluster, stats, planner) = setup(&refs, 64);
-        let srefs: Vec<&RelationStats> = stats.iter().collect();
-        let hive = planner.execute_baseline(Baseline::Hive, &q, &srefs, &cluster);
-        let pig = planner.execute_baseline(Baseline::Pig, &q, &srefs, &cluster);
+        let (cluster, inputs, planner) = setup(&refs, 64);
+        let hive = planner.execute_baseline(Baseline::Hive, &q, &inputs, &cluster);
+        let pig = planner.execute_baseline(Baseline::Pig, &q, &inputs, &cluster);
         let hive_n: u32 = hive.jobs.iter().map(|j| j.reduce_tasks).max().unwrap();
         let pig_n: u32 = pig.jobs.iter().map(|j| j.reduce_tasks).max().unwrap();
         assert!(hive_n >= pig_n, "hive {hive_n} vs pig {pig_n}");

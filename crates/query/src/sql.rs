@@ -74,47 +74,6 @@ impl ParsedQuery {
             instances: self.instances.clone(),
         })
     }
-
-    /// Rewrite every FROM-clause instance to a *namespaced* internal
-    /// name `{prefix}{alias}`, so concurrent queries can bind the same
-    /// public alias to different bases without colliding in a shared
-    /// catalog. Conditions and projections reference relations by
-    /// index, so only the per-instance schema names change.
-    ///
-    /// Returns the rewritten query plus the `(internal, public)`
-    /// rename pairs callers use to restore public names on output.
-    pub fn namespaced(&self, prefix: &str) -> (ParsedQuery, Vec<(String, String)>) {
-        let renames: Vec<(String, String)> = self
-            .instances
-            .iter()
-            .map(|(alias, _)| (format!("{prefix}{alias}"), alias.clone()))
-            .collect();
-        let mut query = self.query.clone();
-        for (schema, (internal, _)) in query.schemas.iter_mut().zip(&renames) {
-            *schema = Schema::new(internal.clone(), schema.fields().to_vec());
-        }
-        // Predicates name relations by alias; rewrite them to match.
-        let to_internal: std::collections::HashMap<&str, &str> = renames
-            .iter()
-            .map(|(internal, public)| (public.as_str(), internal.as_str()))
-            .collect();
-        for (_, _, preds) in &mut query.conditions {
-            for p in preds {
-                for side in [&mut p.left, &mut p.right] {
-                    if let Some(internal) = to_internal.get(side.relation.as_str()) {
-                        side.relation = (*internal).to_string();
-                    }
-                }
-            }
-        }
-        let instances = self
-            .instances
-            .iter()
-            .zip(&renames)
-            .map(|((_, base), (internal, _))| (internal.clone(), base.clone()))
-            .collect();
-        (ParsedQuery { query, instances }, renames)
-    }
 }
 
 /// Parse `sql` into a query. `schema_of` resolves a FROM-clause base
@@ -710,38 +669,6 @@ mod tests {
         for sql in bad {
             assert!(parse_query("q", sql, &resolver()).is_err(), "{sql}");
         }
-    }
-
-    #[test]
-    fn namespaced_rewrites_instances_and_keeps_semantics() {
-        let sql = "SELECT t2.id FROM table t1, table t2 WHERE t1.bt <= t2.bt";
-        let parsed = parse_sql("q", sql, &resolver()).unwrap();
-        let (ns, renames) = parsed.namespaced("__q7_");
-        assert_eq!(
-            renames,
-            vec![
-                ("__q7_t1".to_string(), "t1".to_string()),
-                ("__q7_t2".to_string(), "t2".to_string()),
-            ]
-        );
-        assert_eq!(ns.query.schemas[0].name(), "__q7_t1");
-        assert_eq!(ns.query.schemas[1].name(), "__q7_t2");
-        assert_eq!(
-            ns.instances,
-            vec![
-                ("__q7_t1".to_string(), "table".to_string()),
-                ("__q7_t2".to_string(), "table".to_string()),
-            ]
-        );
-        // Edge indices and the index-based projection are untouched;
-        // predicate relation names follow the rewrite.
-        assert_eq!(ns.query.conditions[0].0, parsed.query.conditions[0].0);
-        assert_eq!(ns.query.conditions[0].1, parsed.query.conditions[0].1);
-        assert_eq!(ns.query.conditions[0].2[0].left.relation, "__q7_t1");
-        assert_eq!(ns.query.projection, parsed.query.projection);
-        assert!(ns.query.compile().is_ok());
-        // The original is unchanged.
-        assert_eq!(parsed.query.schemas[0].name(), "t1");
     }
 
     #[test]

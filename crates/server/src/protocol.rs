@@ -958,8 +958,6 @@ mod tests {
                 ("zone_pairs_pruned", "6".into()),
                 ("zone_rows_pruned", "1200".into()),
                 ("skip_fraction", "0.750000".into()),
-                ("zone_map_hits", "2".into()),
-                ("zone_map_misses", "1".into()),
                 ("task_attempts", "42".into()),
                 ("real_retries", "5".into()),
                 ("panics_caught", "3".into()),
@@ -987,8 +985,6 @@ mod tests {
             "zone_pairs_kept",
             "zone_pairs_pruned",
             "zone_rows_pruned",
-            "zone_map_hits",
-            "zone_map_misses",
             "task_attempts",
             "real_retries",
             "panics_caught",

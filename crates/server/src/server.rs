@@ -454,8 +454,6 @@ fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (
                 ("zone_pairs_pruned", zs.pairs_pruned.to_string()),
                 ("zone_rows_pruned", zs.rows_pruned.to_string()),
                 ("skip_fraction", format!("{:.6}", zs.skip_fraction())),
-                ("zone_map_hits", snap.zone_cache_hits.to_string()),
-                ("zone_map_misses", snap.zone_cache_misses.to_string()),
                 ("task_attempts", fs.attempts.to_string()),
                 ("real_retries", fs.real_retries.to_string()),
                 ("panics_caught", fs.panics_caught.to_string()),

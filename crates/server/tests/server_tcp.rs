@@ -2,7 +2,7 @@
 //! frames, rude disconnects, concurrent clients vs the oracle, and
 //! graceful shutdown.
 
-use mwtj_core::{Engine, RunOptions};
+use mwtj_core::{assert_quiescent, Engine, RunOptions};
 use mwtj_join::oracle::canonicalize;
 use mwtj_server::{load_demo, serve_lines, Client, Server};
 use std::io::Write;
@@ -172,11 +172,12 @@ fn streamed_query_frames_match_run_response() {
 }
 
 /// A client that hangs up mid-stream cancels the run server-side: no
-/// leaked admission units, no leaked namespaced DFS files, and the
-/// server keeps serving.
+/// leaked admission units, the DFS and catalog back at their baseline,
+/// and the server keeps serving.
 #[test]
 fn client_disconnect_mid_stream_cancels_the_run() {
     let (engine, addr, handle) = start_server(8);
+    let baseline = engine.quiescence();
     {
         let mut raw = TcpStream::connect(addr).unwrap();
         // Tiny batches keep the worker streaming long enough that the
@@ -195,18 +196,7 @@ fn client_disconnect_mid_stream_cancels_the_run() {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    let stats = engine.scheduler().stats();
-    assert_eq!(stats.in_flight_units, 0, "stream leaked units: {stats:?}");
-    assert!(
-        engine
-            .cluster()
-            .dfs()
-            .list()
-            .iter()
-            .all(|f| !f.starts_with("__run") && !f.contains("__q")),
-        "stream leaked DFS files: {:?}",
-        engine.cluster().dfs().list()
-    );
+    assert_quiescent(&engine, &baseline);
     let mut c = Client::connect(addr).expect("connect after abuse");
     assert_eq!(c.request("ping").unwrap(), "ok pong");
     shutdown(addr);

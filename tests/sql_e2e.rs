@@ -2,7 +2,7 @@
 //! parse → plan → execute and agrees with the oracle, and every error
 //! path is a typed error rather than a panic.
 
-use mwtj_core::{Engine, EngineError, Method, RunOptions};
+use mwtj_core::{assert_quiescent, Engine, EngineError, Method, RunOptions};
 use mwtj_datagen::MobileGen;
 use mwtj_join::oracle::canonicalize;
 use mwtj_storage::Error as StorageError;
@@ -37,7 +37,7 @@ fn sql_round_trips_to_oracle_agreement() {
         ]
     );
 
-    // run_sql binds t1/t2/t3 in a private namespace; for the oracle we
+    // run_sql binds t1/t2/t3 for the run only; for the oracle we
     // register the instances explicitly.
     let first = engine.run_sql(sql).expect("executes end to end");
     for inst in ["t1", "t2", "t3"] {
@@ -55,29 +55,17 @@ fn sql_round_trips_to_oracle_agreement() {
     }
 }
 
-/// SQL alias instances live in a per-query namespace and are cleaned
-/// up when the run finishes: nothing leaks into the shared catalog or
-/// the DFS, and explicitly-registered aliases still share storage.
+/// SQL aliases are bound per query, never registered: nothing enters
+/// the shared catalog or the DFS, and explicitly-registered aliases
+/// still share storage.
 #[test]
 fn sql_aliases_are_transient_and_explicit_aliases_share_rows() {
     let engine = engine_with_calls(80);
+    let baseline = engine.quiescence();
     engine
         .run_sql("SELECT t1.id FROM calls t1, calls t2 WHERE t1.d = t2.d AND t1.bt < t2.bt")
         .expect("runs");
-    for inst in ["t1", "t2"] {
-        assert!(
-            engine.relation(inst).is_none(),
-            "{inst} must not persist after the query"
-        );
-    }
-    let leftovers: Vec<String> = engine
-        .cluster()
-        .dfs()
-        .list()
-        .into_iter()
-        .filter(|f| f.contains("__q"))
-        .collect();
-    assert!(leftovers.is_empty(), "stale instance files: {leftovers:?}");
+    assert_quiescent(&engine, &baseline);
     // The explicit registration path still shares rows with the base.
     let base = engine.relation("calls").expect("loaded");
     let _ = engine.load_alias_of("calls", "t9").expect("alias");
@@ -135,8 +123,8 @@ fn empty_projection_is_typed_error() {
     );
 }
 
-/// Per-query alias namespaces: the same alias bound to *different*
-/// bases in consecutive (or concurrent) queries is no longer a
+/// Per-query alias bindings: the same alias bound to *different*
+/// bases in consecutive (or concurrent) queries is not a
 /// conflict — each query reads its own base's data. The engine-global
 /// conflict check still guards explicit registrations.
 #[test]
@@ -156,7 +144,7 @@ fn alias_rebinding_across_queries_reads_each_querys_own_base() {
     // The same alias `a` over a different base now simply works …
     let on_texts = engine
         .run_sql("SELECT a.id FROM texts a, texts b WHERE a.d = b.d AND a.bt < b.bt")
-        .expect("rebinding in a fresh query namespace runs");
+        .expect("rebinding in a fresh query runs");
     // … and each run saw its own base (the bases have different sizes,
     // so identical outputs would be a wrong-data smoking gun).
     assert_eq!(on_calls.output.schema().fields()[0].name, "a.id");
@@ -182,12 +170,13 @@ fn alias_rebinding_across_queries_reads_each_querys_own_base() {
     assert_eq!(again.output.len(), on_calls.output.len());
 }
 
-/// A concurrent SQL batch binds every query's aliases in private
-/// namespaces before the fan-out (regression: parsed-but-never-run
-/// aliases used to 404) and isolates parse failures to their slot.
+/// A concurrent SQL batch binds every query's aliases for that query
+/// alone (regression: parsed-but-never-run aliases used to 404) and
+/// isolates parse failures to their slot.
 #[test]
-fn run_sql_many_registers_aliases_and_isolates_failures() {
+fn run_sql_many_binds_aliases_and_isolates_failures() {
     let engine = engine_with_calls(100);
+    let baseline = engine.quiescence();
     let sqls = [
         "SELECT t1.id FROM calls t1, calls t2 WHERE t1.bt < t2.bt AND t1.bsc = t2.bsc",
         "SELECT * FROM calls a, calls b WHERE a.bsc = b.bsc AND a.bt <= b.bt",
@@ -207,19 +196,8 @@ fn run_sql_many_registers_aliases_and_isolates_failures() {
         results[2]
     );
     assert!(results[3].is_ok(), "{:?}", results[3]);
-    // Batch instances are transient: the shared catalog stays clean.
-    for inst in ["a", "b", "u", "v", "t1", "t2"] {
-        assert!(
-            engine.relation(inst).is_none(),
-            "{inst} must not persist after the batch"
-        );
-    }
-    assert!(engine
-        .cluster()
-        .dfs()
-        .list()
-        .iter()
-        .all(|f| !f.contains("__q")));
+    // Batch aliases are transient: the shared catalog stays clean.
+    assert_quiescent(&engine, &baseline);
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //! bit-identical to the materialised `Relation` for every method ×
 //! partition strategy, with unchanged simulated cost metrics (Eq. 2–4);
 //! peak resident rows on the streaming path must stay bounded by
-//! batch size × channel depth; and dropping a stream mid-way must
-//! release the admission ticket and clean up namespaced DFS files.
+//! batch size × channel depth; dropping a stream mid-way must release
+//! the admission ticket and leave the DFS and catalog at their
+//! baseline; and a live stream keeps the data it bound across a reload.
 
-use mwtj_core::{Engine, Method, RunOptions, StreamOptions};
+use mwtj_core::{assert_quiescent, Engine, Method, RunOptions, StreamOptions};
 use mwtj_hilbert::PartitionStrategy;
 use mwtj_query::{MultiwayQuery, QueryBuilder, ThetaOp};
 use mwtj_storage::{tuple, DataType, Relation, Schema};
@@ -94,19 +95,14 @@ fn streamed_equals_materialised_for_all_methods_and_strategies() {
     }
 }
 
-/// SQL end-to-end: streamed and materialised SQL runs agree, public
-/// aliases (not internal `__q<N>_` names) appear on the schema and
-/// metrics, and the per-query namespace is cleaned up afterwards.
-///
-/// (Two separate SQL invocations bind distinct `__q<N>_` namespaces,
-/// which seed the chain jobs' deterministic global ids differently —
-/// the result *set* is identical but its order is not, so this
-/// comparison canonicalises; the builder-path test above is the
-/// order-sensitive one.)
+/// SQL end-to-end: streamed and materialised SQL runs agree row for
+/// row (two invocations of one text bind the same files under the same
+/// aliases, so their map tasks seed identically), the query's own
+/// aliases appear on the schema, and nothing is left behind.
 #[test]
-fn streamed_sql_matches_run_sql_and_cleans_namespace() {
-    use mwtj_join::oracle::canonicalize;
+fn streamed_sql_matches_run_sql_and_leaves_nothing_behind() {
     let (engine, _) = three_way_engine(8);
+    let baseline = engine.quiescence();
     let sql = "SELECT x.a, y.b FROM r x, s y WHERE x.a <= y.a";
     let run = engine.run_sql(sql).unwrap();
     let stream = engine
@@ -119,23 +115,57 @@ fn streamed_sql_matches_run_sql_and_cleans_namespace() {
         .unwrap();
     assert_eq!(stream.schema().fields()[0].name, "x.a");
     let (rel, end) = stream.collect_rows().unwrap();
-    assert_eq!(
-        canonicalize(rel.into_rows()),
-        canonicalize(run.output.into_rows())
-    );
-    assert!(!end.plan.contains("__q"), "plan leaked: {}", end.plan);
-    assert!(end.jobs.iter().all(|j| !j.name.contains("__q")));
-    // Namespace gone: no internal instances, no namespaced DFS files.
-    assert!(engine
-        .loaded_instances()
-        .iter()
-        .all(|(name, _)| !name.starts_with("__q")));
-    assert!(engine
-        .cluster()
-        .dfs()
-        .list()
-        .iter()
-        .all(|f| !f.contains("__q")));
+    assert_eq!(rel.rows(), run.output.rows());
+    assert_eq!(end.sim_secs, run.sim_secs);
+    assert_quiescent(&engine, &baseline);
+}
+
+/// Nothing per-query is visible while a SQL run is in flight, and the
+/// run keeps the snapshot it bound: mid-stream the DFS and the catalog
+/// are exactly at their pre-query state; reloading the base under the
+/// open stream changes neither the stream's remaining rows nor, of
+/// course, what a fresh query sees afterwards.
+#[test]
+fn open_stream_is_invisible_and_survives_a_reload_of_its_base() {
+    use mwtj_join::oracle::canonicalize;
+    let big = |n: i64, k: i64| {
+        Relation::from_rows_unchecked(
+            Schema::from_pairs("big", &[("a", DataType::Int), ("b", DataType::Int)]),
+            (0..n).map(|i| tuple![i, i * k]).collect(),
+        )
+    };
+    // `a` is unique, so the self-join pairs every row with itself.
+    let oracle = |n: i64, k: i64| canonicalize((0..n).map(|i| tuple![i, i * k, i * k]).collect());
+    let engine = Engine::with_units(8);
+    let _ = engine.load_relation(&big(20_000, 3));
+    let baseline = engine.quiescence();
+    let epoch = engine.stats_epoch();
+    let sql = "SELECT x.a, x.b, y.b FROM big x, big y WHERE x.a = y.a";
+    let mut stream = engine
+        .run_sql_streamed(
+            "mid",
+            sql,
+            &RunOptions::default(),
+            &StreamOptions::new().batch_rows(64),
+        )
+        .unwrap();
+    let mut rows = stream.next_batch().unwrap().expect("first batch").rows;
+    // The worker is blocked on the bounded channel with ~2e4 rows to go.
+    assert!(engine.scheduler().stats().in_flight_units > 0);
+    assert_eq!(engine.quiescence(), baseline, "a run in flight is visible");
+
+    let _ = engine.load_relation(&big(10_000, 5));
+    assert!(engine.stats_epoch() > epoch);
+    while let Some(batch) = stream.next_batch().unwrap() {
+        rows.extend(batch.rows);
+    }
+    assert_eq!(canonicalize(rows), oracle(20_000, 3), "pre-reload snapshot");
+    let fresh = engine.run_sql(sql).unwrap();
+    assert_eq!(canonicalize(fresh.output.into_rows()), oracle(10_000, 5));
+    // Only the reload moved the catalog (same file, fewer rows).
+    assert_eq!(engine.cluster().dfs().list(), vec!["big".to_string()]);
+    assert_eq!(engine.loaded_instances(), vec![("big".to_string(), 10_000)]);
+    assert_eq!(engine.scheduler().stats().in_flight_units, 0);
 }
 
 /// The bounded-memory acceptance bar: a dense (cross-product-heavy)
@@ -191,8 +221,8 @@ fn peak_resident_rows_bounded_by_batch_times_depth() {
 }
 
 /// Dropping a stream mid-way must cancel the run: admission units
-/// return to the budget, namespaced intermediate DFS files disappear,
-/// and — for SQL streams — the per-query alias namespace unloads.
+/// return to the budget, `__run` intermediates disappear, and the DFS
+/// and catalog are back at their baseline.
 #[test]
 fn drop_mid_stream_releases_ticket_and_cleans_up() {
     let engine = Engine::with_units(8);
@@ -200,6 +230,7 @@ fn drop_mid_stream_releases_ticket_and_cleans_up() {
     let r = rel("r", 200, 32, 10);
     let _ = engine.load_relation(&l);
     let _ = engine.load_relation(&r);
+    let baseline = engine.quiescence();
     let sql = "SELECT x.a, y.b FROM l x, r y WHERE x.a <= y.a";
     let mut stream = engine
         .run_sql_streamed(
@@ -211,25 +242,7 @@ fn drop_mid_stream_releases_ticket_and_cleans_up() {
         .unwrap();
     assert!(stream.next_batch().unwrap().is_some(), "first batch");
     drop(stream); // joins the worker — cancellation is deterministic
-    let stats = engine.scheduler().stats();
-    assert_eq!(stats.in_flight_units, 0, "ticket must be released");
-    assert!(
-        engine
-            .cluster()
-            .dfs()
-            .list()
-            .iter()
-            .all(|f| !f.starts_with("__run") && !f.contains("__q")),
-        "cancelled stream leaked DFS files: {:?}",
-        engine.cluster().dfs().list()
-    );
-    assert!(
-        engine
-            .loaded_instances()
-            .iter()
-            .all(|(name, _)| !name.starts_with("__q")),
-        "cancelled stream leaked alias instances"
-    );
+    assert_quiescent(&engine, &baseline);
     // The engine still serves queries normally afterwards.
     let again = engine.run_sql(sql).unwrap();
     assert!(!again.output.is_empty());
