@@ -52,6 +52,7 @@ pub mod server;
 
 pub use protocol::{
     batch_frame, end_frame, err_response, ok_response, parse_stream_frame, read_frame,
-    schema_frame, write_frame, Request, StreamFrame, DEFAULT_STREAM_BATCH, MAX_FRAME_BYTES,
+    schema_frame, write_frame, FrameBuf, Request, StreamFrame, DEFAULT_STREAM_BATCH,
+    MAX_FRAME_BYTES,
 };
 pub use server::{load_demo, serve_lines, Client, Server};

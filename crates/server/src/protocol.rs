@@ -48,15 +48,33 @@
 //! needs no parsing machinery of its own — `+deadline=<ms>` bounds the
 //! query's real wall-clock time including queueing.
 //!
+//! ## Latency
+//!
+//! A frame is encoded into one buffer — length prefix and payload
+//! together — and leaves in one `write`, on sockets that both ends set
+//! `TCP_NODELAY` on. The protocol is strict request → reply with
+//! explicit frame ends, and at every frame end the peer is blocked
+//! waiting for it, so Nagle's coalescing can only add delay: a second
+//! small segment would sit out the peer's 40-ms delayed ACK, in each
+//! direction, on every request. No workload is better off with Nagle
+//! on, so there is no option for it.
+//!
 //! ## Flow-control frames
 //!
-//! Two failure frames are machine-readable rather than free text:
+//! Three failure frames are machine-readable rather than free text:
 //!
 //! ```text
 //! err overloaded retry_after=<ms>   -- admission queue at capacity;
 //!                                      back off and resend
 //! err deadline exceeded             -- the request's +deadline=<ms>
 //!                                      passed (queued or mid-run)
+//! err response too large (> 8388608 bytes); use stream
+//!                                   -- a unary reply passed
+//!                                      MAX_FRAME_BYTES while it was
+//!                                      being encoded; nothing of it
+//!                                      was sent, the connection stays
+//!                                      usable, and `stream` delivers
+//!                                      the same rows in batch frames
 //! ```
 //!
 //! `stats` reports the engine-wide fault counters alongside the
@@ -103,18 +121,168 @@ use std::io::{self, Read, Write};
 /// hostile or corrupt length prefix).
 pub const MAX_FRAME_BYTES: u32 = 8 * 1024 * 1024;
 
-/// Write one frame.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    if bytes.len() as u64 > MAX_FRAME_BYTES as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME_BYTES", bytes.len()),
-        ));
+/// Bytes of length prefix in front of every payload.
+const LEN_SLOT: usize = 4;
+
+/// Capacity a [`FrameBuf`] keeps between frames; a reply that grew it
+/// past this gives the memory back once it is written.
+const RETAINED_FRAME_BYTES: usize = 256 * 1024;
+
+/// A reusable frame buffer: a four-byte length slot followed by the
+/// payload, which the reply encoders build in place, so a frame is
+/// encoded once and written with one `write_all`. Every `fill` method
+/// starts a new frame.
+#[derive(Debug)]
+pub struct FrameBuf {
+    /// Length slot + payload.
+    bytes: Vec<u8>,
+    /// Buffer length (slot included) the fills stop at.
+    limit: usize,
+    /// A fill stopped at `limit`: the payload is incomplete and must
+    /// never be sent.
+    truncated: bool,
+}
+
+impl Default for FrameBuf {
+    fn default() -> FrameBuf {
+        FrameBuf::new()
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()
+}
+
+impl FrameBuf {
+    /// A buffer for wire frames: payloads stop at [`MAX_FRAME_BYTES`].
+    pub fn new() -> FrameBuf {
+        FrameBuf::with_limit(LEN_SLOT + MAX_FRAME_BYTES as usize)
+    }
+
+    /// A buffer for payloads that never meet the framing (the
+    /// line-oriented `--stdin` mode, the `String` builders below): no
+    /// size limit.
+    pub fn unbounded() -> FrameBuf {
+        FrameBuf::with_limit(usize::MAX)
+    }
+
+    fn with_limit(limit: usize) -> FrameBuf {
+        FrameBuf {
+            bytes: vec![0; LEN_SLOT],
+            limit,
+            truncated: false,
+        }
+    }
+
+    /// Start a new, empty frame.
+    pub fn reset(&mut self) {
+        self.bytes.clear();
+        self.bytes.shrink_to(RETAINED_FRAME_BYTES);
+        self.bytes.resize(LEN_SLOT, 0);
+        self.truncated = false;
+    }
+
+    /// The payload built so far.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[LEN_SLOT..]
+    }
+
+    /// Fill with a ready-made payload.
+    pub fn text(&mut self, payload: &str) {
+        self.reset();
+        if payload.len() > self.limit - LEN_SLOT {
+            self.truncated = true;
+        } else {
+            self.bytes.extend_from_slice(payload.as_bytes());
+        }
+    }
+
+    /// Fill with an `ok` response whose body is `rel` as CSV (header
+    /// line, then the rows) — the unary `run`/`execute` reply. Trailing
+    /// whitespace is trimmed, as it always was, so a trailing all-NULL
+    /// row leaves no line and `rows=` in `fields` stays the authority.
+    pub fn ok_rows(&mut self, fields: &[(&str, String)], rel: &Relation) {
+        self.reset();
+        self.push_ok_head(fields);
+        self.bytes.push(b'\n');
+        let body = self.bytes.len();
+        csv::encode_header(&mut self.bytes, rel.schema());
+        self.push_rows(rel.rows());
+        let trimmed = trimmed_len(&self.bytes, body);
+        self.bytes.truncate(trimmed);
+    }
+
+    /// Fill with a batch frame: `ok stream=batch rows=<n>` and the rows
+    /// as header-less CSV — verbatim, every record (including a
+    /// trailing all-NULL one, which renders as an empty line)
+    /// newline-terminated, so the record count always agrees with
+    /// `rows=`.
+    pub fn batch(&mut self, rows: &[Tuple]) {
+        self.reset();
+        let _ = writeln!(self.bytes, "ok stream=batch rows={}", rows.len());
+        self.push_rows(rows);
+    }
+
+    fn push_ok_head(&mut self, fields: &[(&str, String)]) {
+        self.bytes.extend_from_slice(b"ok");
+        for (k, v) in fields {
+            self.bytes.push(b' ');
+            self.bytes.extend_from_slice(k.as_bytes());
+            self.bytes.push(b'=');
+            self.bytes.extend_from_slice(v.as_bytes());
+        }
+    }
+
+    fn push_rows(&mut self, rows: &[Tuple]) {
+        self.truncated |= !csv::encode_rows(&mut self.bytes, rows, self.limit);
+    }
+
+    /// Write the frame — the length patched into its slot, then one
+    /// `write_all` of slot and payload together. A payload over
+    /// [`MAX_FRAME_BYTES`] (or one a fill stopped at the limit) is
+    /// refused with `InvalidInput` before a byte is written, so the
+    /// stream stays in sync. The only function that puts frame bytes
+    /// on a socket.
+    pub fn write_to(&mut self, w: &mut impl Write) -> io::Result<()> {
+        let len = self.payload().len();
+        if self.truncated || len > MAX_FRAME_BYTES as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("frame exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES} bytes)"),
+            ));
+        }
+        self.bytes[..LEN_SLOT].copy_from_slice(&(len as u32).to_be_bytes());
+        w.write_all(&self.bytes)?;
+        w.flush()
+    }
+
+    /// The payload as the `String` the builder functions return.
+    fn into_payload(mut self) -> String {
+        self.bytes.drain(..LEN_SLOT);
+        String::from_utf8(self.bytes).expect("frame encoders emit UTF-8")
+    }
+}
+
+/// Length of `bytes` without the trailing whitespace (`str::trim_end`'s
+/// definition of it) after `floor`, which must be a character boundary
+/// of valid UTF-8.
+fn trimmed_len(bytes: &[u8], floor: usize) -> usize {
+    let mut end = bytes.len();
+    while end > floor {
+        let mut start = end - 1;
+        while start > floor && bytes[start] & 0xC0 == 0x80 {
+            start -= 1;
+        }
+        match std::str::from_utf8(&bytes[start..end]) {
+            Ok(last) if last.chars().all(char::is_whitespace) => end = start,
+            _ => break,
+        }
+    }
+    end
+}
+
+/// Write one frame: a 4-byte big-endian payload length and the
+/// payload, in one `write`.
+pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+    let mut frame = FrameBuf::new();
+    frame.text(payload);
+    frame.write_to(w)
 }
 
 /// Read one frame. `Ok(None)` is a clean end-of-stream (the peer
@@ -480,18 +648,13 @@ fn parse_colspec(name: &str, spec: &str) -> Result<Schema, String> {
 /// Build an `ok` response: a header of `key=value` tokens plus an
 /// optional body.
 pub fn ok_response(fields: &[(&str, String)], body: Option<&str>) -> String {
-    let mut out = String::from("ok");
-    for (k, v) in fields {
-        out.push(' ');
-        out.push_str(k);
-        out.push('=');
-        out.push_str(v);
-    }
+    let mut frame = FrameBuf::unbounded();
+    frame.push_ok_head(fields);
     if let Some(b) = body {
-        out.push('\n');
-        out.push_str(b);
+        frame.bytes.push(b'\n');
+        frame.bytes.extend_from_slice(b.as_bytes());
     }
-    out
+    frame.into_payload()
 }
 
 /// Build an `err` response.
@@ -585,18 +748,13 @@ pub fn schema_frame(schema: &Schema) -> String {
     )
 }
 
-/// A batch frame: `ok stream=batch rows=<n>` with the rows as
-/// header-less CSV in the body — verbatim, every record (including a
-/// trailing all-NULL one, which renders as an empty line)
-/// newline-terminated, so the record count always agrees with `rows=`.
-pub fn batch_frame(schema: &Schema, rows: Vec<Tuple>) -> String {
-    let n = rows.len();
-    let rel = Relation::from_rows_unchecked(schema.clone(), rows);
-    let csv = csv::to_csv(&rel);
-    // to_csv leads with a header line; the schema frame already
-    // carried the columns.
-    let body = csv.split_once('\n').map(|(_, rest)| rest).unwrap_or("");
-    format!("ok stream=batch rows={n}\n{body}")
+/// A batch frame as a `String` — [`FrameBuf::batch`], which the server
+/// encodes straight into its frame buffer. The schema frame already
+/// carried the columns, so a batch has no header line.
+pub fn batch_frame(_schema: &Schema, rows: Vec<Tuple>) -> String {
+    let mut frame = FrameBuf::unbounded();
+    frame.batch(&rows);
+    frame.into_payload()
 }
 
 /// The end frame carrying the run's metrics. Floats print in full
@@ -693,6 +851,69 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("hello\nworld"));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    /// Accepts everything, remembers the size of every `write` call.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_exactly_one_write() {
+        let max = MAX_FRAME_BYTES as usize;
+        for len in [0, 1, 64 * 1024, max] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &"x".repeat(len)).unwrap();
+            assert_eq!(w.writes, [4 + len], "prefix and payload in one write");
+        }
+        let mut w = CountingWriter::default();
+        let refused = write_frame(&mut w, &"x".repeat(max + 1)).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+        assert!(w.writes.is_empty(), "an over-limit frame writes nothing");
+    }
+
+    #[test]
+    fn row_fills_stop_at_the_frame_limit_and_are_never_sent() {
+        let schema = Schema::from_pairs("t", &[("c0", DataType::Str)]);
+        let wide = "w".repeat(1024 * 1024);
+        let rows: Vec<Tuple> = (0..12)
+            .map(|_| mwtj_storage::tuple![wide.as_str()])
+            .collect();
+        let mut frame = FrameBuf::new();
+        frame.batch(&rows);
+        // Nine 1-MiB rows cross 8 MiB; the other three are never encoded.
+        assert!(frame.payload().len() < 10 * 1024 * 1024);
+        let mut w = CountingWriter::default();
+        let refused = frame.write_to(&mut w).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+        assert!(w.writes.is_empty());
+        // A reply cut short must stay refused even when trimming its
+        // trailing blank records brings it back under the limit.
+        let nulls = Relation::from_rows_unchecked(
+            schema.clone(),
+            vec![Tuple::new(vec![mwtj_storage::Value::Null]); 9 * 1024 * 1024],
+        );
+        frame.ok_rows(&[("rows", nulls.len().to_string())], &nulls);
+        assert!(frame.payload().len() < 64);
+        assert!(frame.write_to(&mut w).is_err());
+        // The buffer is reusable, and gives the memory back.
+        frame.batch(&rows[..1]);
+        frame.write_to(&mut w).unwrap();
+        assert_eq!(w.writes.len(), 1);
+        // The String builder has no limit of its own (write_frame checks).
+        assert!(batch_frame(&schema, rows).len() > 12 * 1024 * 1024);
     }
 
     #[test]

@@ -13,19 +13,21 @@
 //! before [`Server::serve`] returns.
 
 use crate::protocol::{
-    batch_frame, end_frame, err_response, ok_response, read_frame, schema_frame, write_frame,
-    Request, DEFAULT_STREAM_BATCH, MAX_STREAM_BATCH,
+    end_frame, err_response, ok_response, read_frame, schema_frame, write_frame, FrameBuf, Request,
+    DEFAULT_STREAM_BATCH, MAX_FRAME_BYTES, MAX_STREAM_BATCH,
 };
-use mwtj_core::{Engine, EngineError, Prepared, QueryStream, RunOptions, StreamOptions};
+use mwtj_core::{
+    Engine, EngineError, Prepared, QueryRun, QueryStream, Registry, RunOptions, StreamOptions,
+};
 use mwtj_storage::{csv, tuple, DataType, Relation, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What a handled request asks the connection/server to do next.
 enum Action {
@@ -79,12 +81,21 @@ impl StmtTable {
     }
 }
 
+/// Read-buffer size of a protocol socket, either end: a small request
+/// or an `ok` reply is one `read`, and so are several of a stream's
+/// ~15-KB batch frames.
+const READ_BUF_BYTES: usize = 64 * 1024;
+
+/// One clone per *live* connection, so drain can unblock parked reads.
+type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// A bound, not-yet-serving query server.
 pub struct Server {
     engine: Engine,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     requests: Arc<AtomicU64>,
+    conns: ConnRegistry,
 }
 
 impl Server {
@@ -95,6 +106,7 @@ impl Server {
             listener: TcpListener::bind(addr)?,
             shutdown: Arc::new(AtomicBool::new(false)),
             requests: Arc::new(AtomicU64::new(0)),
+            conns: Arc::default(),
         })
     }
 
@@ -120,42 +132,37 @@ impl Server {
     /// total number of requests served.
     pub fn serve(self) -> io::Result<u64> {
         self.listener.set_nonblocking(true)?;
-        // One clone per *live* connection, so drain can unblock parked
-        // reads; each handler removes its own entry on exit (a closed
-        // connection must not pin its fd for the server's lifetime).
-        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
         let mut next_conn: u64 = 0;
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
+                    // Blocking reads, no Nagle (see the protocol's
+                    // Latency note), and a clone in the registry —
+                    // without one the drain path could never unblock
+                    // this connection's parked read, and shutdown would
+                    // hang on the join. A socket that refuses any of
+                    // the three is dropped (fd pressure is the likely
+                    // cause anyway); the server keeps accepting.
+                    let Ok(clone) = stream
+                        .set_nonblocking(false)
+                        .and_then(|()| stream.set_nodelay(true))
+                        .and_then(|()| stream.try_clone())
+                    else {
+                        continue;
+                    };
                     let conn_id = next_conn;
                     next_conn += 1;
-                    match stream.try_clone() {
-                        Ok(clone) => {
-                            conns
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .insert(conn_id, clone);
-                        }
-                        // Without a registered clone the drain path
-                        // could never unblock this connection's parked
-                        // read, and shutdown would hang on the join —
-                        // refuse the connection instead (fd pressure is
-                        // the likely cause anyway).
-                        Err(_) => continue,
-                    }
+                    lock(&self.conns).insert(conn_id, clone);
                     let engine = self.engine.clone();
                     let shutdown = Arc::clone(&self.shutdown);
                     let requests = Arc::clone(&self.requests);
-                    let conns = Arc::clone(&conns);
+                    let conns = Arc::clone(&self.conns);
                     workers.push(std::thread::spawn(move || {
                         handle_connection(&engine, stream, &shutdown, &requests);
-                        conns
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .remove(&conn_id);
+                        // A closed connection must not pin its fd for
+                        // the server's lifetime.
+                        lock(&conns).remove(&conn_id);
                     }));
                     workers.retain(|w| !w.is_finished());
                 }
@@ -171,7 +178,7 @@ impl Server {
         // so a worker still executing a query can deliver its response
         // before closing.
         self.engine.scheduler().shutdown();
-        for (_, conn) in conns.lock().unwrap_or_else(|e| e.into_inner()).drain() {
+        for (_, conn) in lock(&self.conns).drain() {
             let _ = conn.shutdown(std::net::Shutdown::Read);
         }
         for w in workers {
@@ -181,72 +188,102 @@ impl Server {
     }
 }
 
+/// The registry only ever gains or loses whole entries, so it is valid
+/// even if a holder of the lock panicked.
+fn lock(conns: &ConnRegistry) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+    conns.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One connection's reply path: the frame buffer every reply is
+/// encoded into, and where its frames go.
+struct Wire<'a> {
+    out: &'a mut dyn Write,
+    /// Length-prefixed frames (TCP), or one newline-terminated payload
+    /// per frame (`--stdin`).
+    framed: bool,
+    frame: FrameBuf,
+    metrics: &'a Registry,
+}
+
+impl<'a> Wire<'a> {
+    fn framed(out: &'a mut dyn Write, metrics: &'a Registry) -> Wire<'a> {
+        Wire {
+            out,
+            framed: true,
+            frame: FrameBuf::new(),
+            metrics,
+        }
+    }
+
+    fn lines(out: &'a mut dyn Write, metrics: &'a Registry) -> Wire<'a> {
+        Wire {
+            out,
+            framed: false,
+            frame: FrameBuf::unbounded(),
+            metrics,
+        }
+    }
+
+    /// Encode one frame with `fill` and write it out, observing both
+    /// halves (`kind` = `unary` or `stream`). `InvalidInput` means the
+    /// frame passed the size limit and nothing of it was written.
+    fn send(&mut self, kind: &str, fill: impl FnOnce(&mut FrameBuf)) -> io::Result<()> {
+        let started = Instant::now();
+        fill(&mut self.frame);
+        let encoded = Instant::now();
+        let written = if self.framed {
+            self.frame.write_to(&mut self.out)
+        } else {
+            self.out
+                .write_all(self.frame.payload())
+                .and_then(|()| self.out.write_all(b"\n"))
+                .and_then(|()| self.out.flush())
+        };
+        let labels = [("kind", kind)];
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        self.metrics
+            .observe("mwtj_wire_encode_ms", &labels, ms(encoded - started));
+        self.metrics
+            .observe("mwtj_wire_write_ms", &labels, ms(encoded.elapsed()));
+        if written.is_ok() {
+            let bytes = self.frame.payload().len() as u64;
+            self.metrics
+                .counter_add("mwtj_wire_bytes_total", &labels, bytes);
+        }
+        // An idle connection holds no more than a small buffer.
+        self.frame.reset();
+        written
+    }
+
+    fn send_text(&mut self, kind: &str, payload: &str) -> io::Result<()> {
+        self.send(kind, |frame| frame.text(payload))
+    }
+}
+
 /// Serve one connection until it quits, disconnects, breaks framing,
 /// or the server shuts down.
 fn handle_connection(
     engine: &Engine,
-    mut stream: TcpStream,
+    stream: TcpStream,
     shutdown: &AtomicBool,
     requests: &AtomicU64,
 ) {
     // Prepared statements live exactly as long as their connection.
     let mut stmts = StmtTable::default();
-    loop {
-        match read_frame(&mut stream) {
+    // Reads are buffered; writes go to the same socket underneath.
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, &stream);
+    let mut socket = &stream;
+    let mut wire = Wire::framed(&mut socket, engine.metrics());
+    while !shutdown.load(Ordering::SeqCst) {
+        match read_frame(&mut reader) {
             Ok(Some(payload)) => {
                 requests.fetch_add(1, Ordering::Relaxed);
-                let parsed = Request::parse(&payload);
-                if let Ok(request) = &parsed {
-                    // Streamed responses write their own frame
-                    // sequence; an I/O error means the client went
-                    // away mid-stream (dropping the QueryStream inside
-                    // the router cancels the run).
-                    if let Some(result) = serve_streaming(engine, &stmts, request, &mut |frame| {
-                        write_frame(&mut stream, frame)
-                    }) {
-                        if result.is_err() {
-                            break;
-                        }
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        continue;
-                    }
-                }
-                let (response, action) = match parsed {
-                    Ok(request) => handle_request(engine, &mut stmts, request),
-                    Err(e) => (err_response(e), Action::Continue),
-                };
-                let wire_started = std::time::Instant::now();
-                let written = write_frame(&mut stream, &response);
-                engine.metrics().observe(
-                    "mwtj_wire_write_ms",
-                    &[],
-                    wire_started.elapsed().as_secs_f64() * 1e3,
-                );
-                if let Err(e) = written {
-                    // A response body over the frame limit is refused
-                    // before any bytes hit the wire, so the stream is
-                    // still in sync — tell the client instead of
-                    // silently hanging up on it.
-                    let too_large = e.kind() == io::ErrorKind::InvalidInput;
-                    if !too_large
-                        || write_frame(
-                            &mut stream,
-                            &err_response(format!("response too large: {e}")),
-                        )
-                        .is_err()
-                    {
-                        break; // client went away mid-response
-                    }
-                }
-                match action {
-                    Action::Continue => {}
-                    Action::Quit => break,
-                    Action::Shutdown => {
-                        shutdown.store(true, Ordering::SeqCst);
-                        break;
-                    }
+                match serve_request(engine, &mut stmts, &payload, &mut wire) {
+                    Ok(Action::Continue) => {}
+                    // An I/O error means the client went away (dropping
+                    // a QueryStream inside the router cancels its run).
+                    Ok(Action::Quit) | Err(_) => break,
+                    Ok(Action::Shutdown) => shutdown.store(true, Ordering::SeqCst),
                 }
             }
             // Clean disconnect between frames (includes the drain path,
@@ -256,18 +293,52 @@ fn handle_connection(
             // the stream cannot be trusted past this point, so answer
             // best-effort and close.
             Err(e) => {
-                let _ = write_frame(&mut stream, &err_response(format!("bad frame: {e}")));
+                let _ = wire.send_text("unary", &err_response(format!("bad frame: {e}")));
                 break;
             }
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            break;
         }
     }
     // The drain registry holds a clone of this stream, so dropping our
     // handle alone would leave the connection half-open; shut the
     // socket down explicitly so the peer sees EOF.
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Answer one request payload through `wire` — a frame sequence for a
+/// streaming request, one frame for everything else — for the TCP and
+/// stdin serving loops alike. `Err` means the transport died.
+fn serve_request(
+    engine: &Engine,
+    stmts: &mut StmtTable,
+    payload: &str,
+    wire: &mut Wire,
+) -> io::Result<Action> {
+    let request = match Request::parse(payload) {
+        Ok(request) => request,
+        Err(e) => {
+            wire.send_text("unary", &err_response(e))?;
+            return Ok(Action::Continue);
+        }
+    };
+    if let Some(streamed) = serve_streaming(engine, stmts, &request, wire) {
+        streamed?;
+        return Ok(Action::Continue);
+    }
+    let (reply, action) = handle_request(engine, stmts, request);
+    match wire.send("unary", |frame| reply.encode(frame)) {
+        // A reply over the frame limit is refused before any byte hits
+        // the wire (and its rows stop being encoded at the limit), so
+        // the stream is still in sync — tell the client instead of
+        // silently hanging up on it.
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => wire.send_text(
+            "unary",
+            &err_response(format_args!(
+                "response too large (> {MAX_FRAME_BYTES} bytes); use stream"
+            )),
+        )?,
+        sent => sent?,
+    }
+    Ok(action)
 }
 
 /// Clamp a client's `batch=N` ask into [`StreamOptions`]: one batch
@@ -282,7 +353,7 @@ fn stream_opts_for(batch_rows: Option<usize>) -> StreamOptions {
 }
 
 /// Serve one `stream` request as a schema → batches → end frame
-/// sequence through `write` (a framed TCP writer or a line writer).
+/// sequence through `wire` (framed TCP or stdin-mode lines).
 /// Engine-side failures become `err` frames; only transport failures
 /// surface as `Err` (the connection is gone — dropping the stream
 /// cancels the run and releases its admission ticket).
@@ -291,12 +362,12 @@ fn serve_stream(
     opts: &RunOptions,
     batch_rows: Option<usize>,
     sql: &str,
-    write: &mut dyn FnMut(&str) -> io::Result<()>,
+    wire: &mut Wire,
 ) -> io::Result<()> {
     let stream_opts = stream_opts_for(batch_rows);
     pump_stream(
         engine.run_sql_streamed("server", sql, opts, &stream_opts),
-        write,
+        wire,
     )
 }
 
@@ -309,12 +380,12 @@ fn serve_prepared_stream(
     params: &[f64],
     opts: &RunOptions,
     batch_rows: Option<usize>,
-    write: &mut dyn FnMut(&str) -> io::Result<()>,
+    wire: &mut Wire,
 ) -> io::Result<()> {
     let stream_opts = stream_opts_for(batch_rows);
     pump_stream(
         engine.execute_streamed(prepared, params, opts, &stream_opts),
-        write,
+        wire,
     )
 }
 
@@ -328,22 +399,22 @@ fn serve_streaming(
     engine: &Engine,
     stmts: &StmtTable,
     request: &Request,
-    write: &mut dyn FnMut(&str) -> io::Result<()>,
+    wire: &mut Wire,
 ) -> Option<io::Result<()>> {
     match request {
         Request::Stream {
             opts,
             batch_rows,
             sql,
-        } => Some(serve_stream(engine, opts, *batch_rows, sql, write)),
+        } => Some(serve_stream(engine, opts, *batch_rows, sql, wire)),
         Request::Execute {
             id,
             opts,
             params,
             stream: Some(batch),
         } => Some(match stmts.get(*id) {
-            Ok(prepared) => serve_prepared_stream(engine, prepared, params, opts, *batch, write),
-            Err(e) => write(&err_response(e)),
+            Ok(prepared) => serve_prepared_stream(engine, prepared, params, opts, *batch, wire),
+            Err(e) => wire.send_text("stream", &err_response(e)),
         }),
         _ => None,
     }
@@ -374,65 +445,75 @@ fn engine_err_response(e: &EngineError) -> String {
 }
 
 /// Drive an admitted (or refused) stream to completion through
-/// `write`: schema frame, batch frames, end frame; engine errors
+/// `wire`: schema frame, batch frames, end frame; engine errors
 /// become `err` frames.
-fn pump_stream(
-    stream: Result<QueryStream, EngineError>,
-    write: &mut dyn FnMut(&str) -> io::Result<()>,
-) -> io::Result<()> {
+fn pump_stream(stream: Result<QueryStream, EngineError>, wire: &mut Wire) -> io::Result<()> {
     let mut stream = match stream {
         Ok(s) => s,
-        Err(e) => return write(&engine_err_response(&e)),
+        Err(e) => return wire.send_text("stream", &engine_err_response(&e)),
     };
-    let schema = stream.schema().clone();
-    write(&schema_frame(&schema))?;
+    wire.send_text("stream", &schema_frame(stream.schema()))?;
     loop {
         match stream.next_batch() {
-            Ok(Some(batch)) => {
-                if let Err(e) = write(&batch_frame(&schema, batch.rows)) {
-                    // An over-limit frame (very wide rows) is refused
-                    // by write_frame before any bytes hit the wire, so
-                    // the stream is still in sync: terminate it with a
-                    // typed err frame instead of a dropped connection.
-                    if e.kind() == io::ErrorKind::InvalidInput {
-                        return write(&err_response(format!(
+            Ok(Some(batch)) => match wire.send("stream", |frame| frame.batch(&batch.rows)) {
+                // An over-limit frame (very wide rows) is refused
+                // before any bytes hit the wire, so the stream is
+                // still in sync: terminate it with a typed err frame
+                // instead of a dropped connection.
+                Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+                    return wire.send_text(
+                        "stream",
+                        &err_response(format_args!(
                             "batch frame too large ({e}); retry with a smaller batch=N"
-                        )));
-                    }
-                    return Err(e);
+                        )),
+                    );
                 }
-            }
+                sent => sent?,
+            },
             Ok(None) => {
                 let end = stream
                     .end()
                     .expect("next_batch returned None without an end");
-                return write(&end_frame(end));
+                return wire.send_text("stream", &end_frame(end));
             }
-            Err(e) => return write(&engine_err_response(&e)),
+            Err(e) => return wire.send_text("stream", &engine_err_response(&e)),
         }
     }
 }
 
-/// Render a finished run as the standard `ok` response (shared by
-/// `run` and the unary `execute`).
-fn run_response(run: &mwtj_core::QueryRun) -> String {
-    let body = csv::to_csv(&run.output);
-    let fields = [
-        ("rows", run.output.len().to_string()),
-        ("cols", run.output.schema().arity().to_string()),
-        ("units", run.granted_units.to_string()),
-        ("ticket", run.ticket.to_string()),
-        ("sim_secs", format!("{:.6}", run.sim_secs)),
-        ("predicted_secs", format!("{:.6}", run.predicted_secs)),
-    ];
-    ok_response(&fields, Some(body.trim_end()))
+/// What a non-streaming request answers with.
+enum Reply {
+    /// A finished payload.
+    Text(String),
+    /// A finished run, rendered as the standard `ok` response of `run`
+    /// and the unary `execute` — straight into the frame buffer.
+    Rows(Box<QueryRun>),
+}
+
+impl Reply {
+    fn encode(&self, frame: &mut FrameBuf) {
+        match self {
+            Reply::Text(text) => frame.text(text),
+            Reply::Rows(run) => {
+                let fields = [
+                    ("rows", run.output.len().to_string()),
+                    ("cols", run.output.schema().arity().to_string()),
+                    ("units", run.granted_units.to_string()),
+                    ("ticket", run.ticket.to_string()),
+                    ("sim_secs", format!("{:.6}", run.sim_secs)),
+                    ("predicted_secs", format!("{:.6}", run.predicted_secs)),
+                ];
+                frame.ok_rows(&fields, &run.output);
+            }
+        }
+    }
 }
 
 /// Dispatch one non-streaming request against the engine and this
 /// connection's statement table. Infallible: every failure becomes an
 /// `err` response.
-fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (String, Action) {
-    match request {
+fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (Reply, Action) {
+    let (text, action) = match request {
         Request::Ping => ("ok pong".into(), Action::Continue),
         Request::Quit => ("ok bye".into(), Action::Quit),
         Request::Shutdown => ("ok draining".into(), Action::Shutdown),
@@ -530,7 +611,7 @@ fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (
             stream: None,
         } => match stmts.get(id) {
             Ok(prepared) => match engine.execute(prepared, &params, &opts) {
-                Ok(run) => (run_response(&run), Action::Continue),
+                Ok(run) => return (Reply::Rows(Box::new(run)), Action::Continue),
                 Err(e) => (engine_err_response(&e), Action::Continue),
             },
             Err(e) => (err_response(e), Action::Continue),
@@ -638,14 +719,16 @@ fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (
             // `run EXPLAIN [ANALYZE] <sql>` routes to the explain
             // handler: EXPLAIN is a statement prefix, not a table.
             if first_word_is(&sql, "explain") {
-                return explain_response(engine, &opts, &sql);
-            }
-            match engine.run_sql_with("server", &sql, &opts) {
-                Err(e) => (engine_err_response(&e), Action::Continue),
-                Ok(run) => (run_response(&run), Action::Continue),
+                explain_response(engine, &opts, &sql)
+            } else {
+                match engine.run_sql_with("server", &sql, &opts) {
+                    Err(e) => (engine_err_response(&e), Action::Continue),
+                    Ok(run) => return (Reply::Rows(Box::new(run)), Action::Continue),
+                }
             }
         }
-    }
+    };
+    (Reply::Text(text), action)
 }
 
 /// How many flight-recorder entries `history` reports when the client
@@ -716,32 +799,17 @@ fn explain_response(engine: &Engine, opts: &RunOptions, sql: &str) -> (String, A
 /// CI and scripts drive. Stops at EOF, `quit` or `shutdown`.
 pub fn serve_lines(engine: &Engine, input: impl BufRead, out: &mut impl Write) -> io::Result<()> {
     // The whole stdin session is one "connection": prepared statements
-    // persist across lines until `close`, `quit` or EOF.
+    // persist across lines until `close`, `quit` or EOF. Frames print
+    // as they arrive — incremental delivery on stdout, one frame block
+    // per line group.
     let mut stmts = StmtTable::default();
+    let mut wire = Wire::lines(out, engine.metrics());
     for line in input.lines() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        let parsed = Request::parse(&line);
-        if let Ok(request) = &parsed {
-            // Frames print as they arrive — incremental delivery on
-            // stdout, one frame block per line group.
-            if let Some(result) = serve_streaming(engine, &stmts, request, &mut |frame| {
-                writeln!(out, "{frame}")?;
-                out.flush()
-            }) {
-                result?;
-                continue;
-            }
-        }
-        let (response, action) = match parsed {
-            Ok(request) => handle_request(engine, &mut stmts, request),
-            Err(e) => (err_response(e), Action::Continue),
-        };
-        writeln!(out, "{response}")?;
-        out.flush()?;
-        match action {
+        match serve_request(engine, &mut stmts, &line, &mut wire)? {
             Action::Continue => {}
             Action::Quit | Action::Shutdown => break,
         }
@@ -765,21 +833,26 @@ pub fn load_demo(engine: &Engine) {
 
 /// A blocking client for the framed TCP protocol.
 pub struct Client {
-    stream: TcpStream,
+    /// Reads are buffered; writes go to the socket underneath.
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
     /// Connect to a server.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        // Every request is a complete frame the server is waiting for
+        // (see the protocol's Latency note).
+        stream.set_nodelay(true)?;
         Ok(Client {
-            stream: TcpStream::connect(addr)?,
+            reader: BufReader::with_capacity(READ_BUF_BYTES, stream),
         })
     }
 
     /// Send one request payload and wait for its response payload.
     pub fn request(&mut self, payload: &str) -> io::Result<String> {
-        write_frame(&mut self.stream, payload)?;
-        read_frame(&mut self.stream)?.ok_or_else(|| {
+        write_frame(self.reader.get_mut(), payload)?;
+        read_frame(&mut self.reader)?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection before responding",
@@ -832,9 +905,9 @@ impl Client {
     /// answering non-stream responses — any single non-stream frame
     /// (`Ok(true)`).
     pub fn stream(&mut self, payload: &str, mut on_frame: impl FnMut(&str)) -> io::Result<bool> {
-        write_frame(&mut self.stream, payload)?;
+        write_frame(self.reader.get_mut(), payload)?;
         loop {
-            let frame = read_frame(&mut self.stream)?.ok_or_else(|| {
+            let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection mid-stream",
@@ -867,9 +940,34 @@ impl Client {
         Ok(frames)
     }
 
-    /// The raw stream (tests use it to simulate rude disconnects and
-    /// malformed frames).
+    /// The raw socket (tests use it to simulate rude disconnects and
+    /// malformed frames). Reading from it bypasses whatever reply bytes
+    /// are already buffered.
     pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        self.reader.get_mut()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nodelay_is_set_on_both_ends_of_a_connection() {
+        let server = Server::bind(Engine::with_units(2), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let conns = Arc::clone(&server.conns);
+        let serving = std::thread::spawn(move || server.serve().unwrap());
+        let mut client = Client::connect(addr).unwrap();
+        assert!(client.stream_mut().nodelay().unwrap(), "client socket");
+        // Answered means accepted, configured and registered.
+        assert_eq!(client.request("ping").unwrap(), "ok pong");
+        let accepted: Vec<bool> = lock(&conns)
+            .values()
+            .map(|conn| conn.nodelay().unwrap())
+            .collect();
+        assert_eq!(accepted, [true], "the server side of the connection");
+        assert_eq!(client.request("shutdown").unwrap(), "ok draining");
+        serving.join().unwrap();
     }
 }

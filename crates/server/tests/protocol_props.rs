@@ -4,10 +4,12 @@
 
 use mwtj_core::StreamEnd;
 use mwtj_server::protocol::{
-    batch_frame, end_frame, parse_stream_frame, read_frame, schema_frame, write_frame, StreamFrame,
+    batch_frame, end_frame, ok_response, parse_stream_frame, read_frame, schema_frame, write_frame,
+    FrameBuf, StreamFrame,
 };
-use mwtj_storage::{csv, DataType, Schema, Tuple, Value};
+use mwtj_storage::{csv, DataType, Relation, Schema, Tuple, Value};
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
 /// A random schema whose column names carry a digit (so no random cell
 /// value can collide with a column name and trip CSV header
@@ -47,8 +49,156 @@ fn cell(t: DataType, int: i64, s: &str) -> Value {
     }
 }
 
+/// Rows for `schema` out of raw entropy: a quarter of the rows all-NULL
+/// (wherever they fall, the tail included), a fifth of the other cells
+/// NULL, and every type's awkward values.
+fn awkward_rows(schema: &Schema, entropy: &[u64], strs: &[String]) -> Vec<Tuple> {
+    let arity = schema.arity();
+    (0..entropy.len())
+        .map(|i| {
+            let all_null = entropy[i].is_multiple_of(4);
+            Tuple::new(
+                schema
+                    .fields()
+                    .iter()
+                    .enumerate()
+                    .map(|(j, f)| {
+                        let e = entropy[(i * arity + j + 1) % entropy.len()].rotate_left(j as u32);
+                        if all_null || e.is_multiple_of(5) {
+                            return Value::Null;
+                        }
+                        match f.data_type {
+                            DataType::Int => Value::Int(match e % 7 {
+                                0 => i64::MIN,
+                                1 => i64::MAX,
+                                2 => 0,
+                                3 => -1,
+                                _ => e as i64,
+                            }),
+                            DataType::Double => Value::Double(match e % 7 {
+                                0 => f64::NAN,
+                                1 => -0.0,
+                                2 => f64::NEG_INFINITY,
+                                3 => (e % 10_000) as f64 / 8.0,
+                                _ => f64::from_bits(e),
+                            }),
+                            DataType::Str if strs.is_empty() => Value::from(""),
+                            DataType::Str => Value::from(strs[e as usize % strs.len()].as_str()),
+                        }
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+/// The CSV renderer as it was before the in-place encoder — `fmt` for
+/// every number, `String` pushes for every field — kept as the
+/// reference the new frames must equal byte for byte.
+fn reference_to_csv(rel: &Relation) -> String {
+    fn write_field(out: &mut String, s: &str) {
+        if s.contains(',') || s.contains('"') || s.contains('\n') {
+            out.push('"');
+            for c in s.chars() {
+                if c == '"' {
+                    out.push('"');
+                }
+                out.push(c);
+            }
+            out.push('"');
+        } else {
+            out.push_str(s);
+        }
+    }
+    let mut out = String::new();
+    for (i, f) in rel.schema().fields().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_field(&mut out, &f.name);
+    }
+    out.push('\n');
+    for row in rel.rows() {
+        for (i, v) in row.values().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match v {
+                Value::Null => {}
+                Value::Int(x) => write!(out, "{x}").unwrap(),
+                Value::Double(x) => write!(out, "{x}").unwrap(),
+                Value::Str(s) => write_field(&mut out, s),
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// `ok_response` as it was: the body copied behind a `String` head.
+fn reference_ok_response(fields: &[(&str, String)], body: Option<&str>) -> String {
+    let mut out = String::from("ok");
+    for (k, v) in fields {
+        out.push(' ');
+        out.push_str(k);
+        out.push('=');
+        out.push_str(v);
+    }
+    if let Some(b) = body {
+        out.push('\n');
+        out.push_str(b);
+    }
+    out
+}
+
+/// `batch_frame` as it was: render with a header line, throw it away.
+fn reference_batch_frame(schema: &Schema, rows: Vec<Tuple>) -> String {
+    let n = rows.len();
+    let csv = reference_to_csv(&Relation::from_rows_unchecked(schema.clone(), rows));
+    let body = csv.split_once('\n').map(|(_, rest)| rest).unwrap_or("");
+    format!("ok stream=batch rows={n}\n{body}")
+}
+
+fn payload_of(frame: &FrameBuf) -> &str {
+    std::str::from_utf8(frame.payload()).expect("frames are UTF-8")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The in-place unary and batch encoders — and the `String`
+    /// builders over them — emit exactly the bytes the old
+    /// render-copy-copy composition did.
+    #[test]
+    fn in_place_frames_equal_the_old_composition(
+        schema in arb_schema(),
+        entropy in prop::collection::vec(any::<u64>(), 0..40),
+        strs in prop::collection::vec("[ab,\" \n\u{a0}é]{0,6}", 0..8),
+        ticket in any::<u64>(),
+    ) {
+        let rows = awkward_rows(&schema, &entropy, &strs);
+        let rel = Relation::from_rows_unchecked(schema.clone(), rows.clone());
+        let want_csv = reference_to_csv(&rel);
+        prop_assert_eq!(&csv::to_csv(&rel), &want_csv);
+
+        let fields = [("rows", rows.len().to_string()), ("ticket", ticket.to_string())];
+        let want = reference_ok_response(&fields, Some(want_csv.trim_end()));
+        // One buffer, reused across both kinds of frame.
+        let mut frame = FrameBuf::new();
+        frame.ok_rows(&fields, &rel);
+        prop_assert_eq!(payload_of(&frame), &want);
+        prop_assert_eq!(&ok_response(&fields, Some(want_csv.trim_end())), &want);
+
+        let want = reference_batch_frame(&schema, rows.clone());
+        frame.batch(&rows);
+        prop_assert_eq!(payload_of(&frame), &want);
+        prop_assert_eq!(&batch_frame(&schema, rows), &want);
+        // …and what goes on the wire is that payload behind its length.
+        let mut wire = Vec::new();
+        frame.write_to(&mut wire).unwrap();
+        prop_assert_eq!(&wire[..4], &(want.len() as u32).to_be_bytes()[..]);
+        prop_assert_eq!(&wire[4..], want.as_bytes());
+    }
 
     #[test]
     fn schema_frames_roundtrip(schema in arb_schema()) {

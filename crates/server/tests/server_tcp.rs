@@ -627,8 +627,39 @@ fn metrics_and_explain_verbs_over_tcp() {
             .any(|l| l.starts_with("mwtj_query_latency_ms_bucket{le=+Inf,method=ours}")),
         "{metrics}"
     );
-    // The wire-write histogram saw at least the earlier responses.
-    assert!(metrics.contains("mwtj_wire_write_ms_count"), "{metrics}");
+    // Encode and write are observed per frame; so far every frame on
+    // this server was a unary reply.
+    let unary_frames = |metrics: &str, name: &str| -> u64 {
+        let line = format!("{name}{{kind=unary}} ");
+        let value = metrics.lines().find_map(|l| l.strip_prefix(&line));
+        value
+            .unwrap_or_else(|| panic!("no {line}in {metrics}"))
+            .parse()
+            .unwrap()
+    };
+    // (The reply to this `metrics` request itself is not counted yet.)
+    assert_eq!(unary_frames(&metrics, "mwtj_wire_encode_ms_count"), 3);
+    assert_eq!(unary_frames(&metrics, "mwtj_wire_write_ms_count"), 3);
+    assert!(unary_frames(&metrics, "mwtj_wire_bytes_total") > reply.len() as u64);
+    assert!(!metrics.contains("kind=stream"), "{metrics}");
+    // A stream's frames are counted one by one, under their own label.
+    let frames = c
+        .stream_sql(&RunOptions::default(), Some(50), Q_RS)
+        .expect("stream");
+    assert!(frames.len() > 3, "schema + batches + end: {}", frames.len());
+    let streamed_bytes: usize = frames.iter().map(String::len).sum();
+    let metrics = c.request("metrics").unwrap();
+    for (name, want) in [
+        ("mwtj_wire_encode_ms_count", frames.len()),
+        ("mwtj_wire_write_ms_count", frames.len()),
+        ("mwtj_wire_bytes_total", streamed_bytes),
+    ] {
+        let line = format!("{name}{{kind=stream}} {want}");
+        assert!(
+            metrics.lines().any(|l| l == line),
+            "no `{line}` in {metrics}"
+        );
+    }
 
     // The JSON variant parses far enough to carry the same counter.
     let json = c.request("stats json").unwrap();
@@ -726,4 +757,110 @@ fn sys_catalog_history_and_profile_over_tcp() {
 
     shutdown(addr);
     handle.join().unwrap();
+}
+
+/// A unary reply is bounded while it is built: past 8 MiB of CSV the
+/// server stops encoding, answers a typed frame instead, and the
+/// connection stays in sync — `stream` then delivers every row.
+#[test]
+fn over_limit_unary_reply_is_a_typed_frame_and_stream_delivers_the_rows() {
+    use mwtj_server::{parse_stream_frame, StreamFrame, MAX_FRAME_BYTES};
+    use mwtj_storage::{tuple, DataType, Relation, Schema};
+    let (engine, addr, handle) = start_server(8);
+    // 420 × 420 pairs all inside the band, ~56 bytes of CSV each.
+    const N: i64 = 420;
+    const BIG: i64 = 1_000_000_000_000;
+    let wide = Relation::from_rows_unchecked(
+        Schema::from_pairs("wide", &[("a", DataType::Int), ("b", DataType::Int)]),
+        (0..N).map(|i| tuple![BIG + i, 2 * BIG + i]).collect(),
+    );
+    let _ = engine.load_relation(&wide);
+    let sql = "SELECT x.a, x.b, y.a, y.b FROM wide x, wide y WHERE x.a < y.b";
+    assert!((N * N) as u64 * 56 > MAX_FRAME_BYTES as u64);
+
+    let mut c = Client::connect(addr).expect("connect");
+    let reply = c.run_sql(&RunOptions::default(), sql).unwrap();
+    assert_eq!(
+        reply,
+        "err response too large (> 8388608 bytes); use stream"
+    );
+    assert_eq!(
+        c.request("ping").unwrap(),
+        "ok pong",
+        "stream still in sync"
+    );
+
+    let mut batch_rows = 0u64;
+    let mut end_rows = None;
+    let ok = c
+        .stream(
+            &format!("stream batch=16384\n{sql}"),
+            |f| match parse_stream_frame(f).expect("well-formed frame") {
+                StreamFrame::Batch { rows, .. } => batch_rows += rows as u64,
+                StreamFrame::End { rows, .. } => end_rows = Some(rows),
+                StreamFrame::Schema { .. } => {}
+            },
+        )
+        .unwrap();
+    assert!(ok);
+    assert_eq!(batch_rows, (N * N) as u64);
+    assert_eq!(end_rows, Some((N * N) as u64));
+    shutdown(addr);
+    handle.join().unwrap();
+}
+
+/// Reads are buffered on the server side: requests that arrive
+/// together are each answered, in order, and a request that arrives in
+/// pieces is still one request.
+#[test]
+fn pipelined_and_fragmented_requests_are_answered_in_order() {
+    let (_engine, addr, handle) = start_server(8);
+    let mut raw = TcpStream::connect(addr).unwrap();
+
+    // Three frames in one write.
+    let mut wire = Vec::new();
+    mwtj_server::write_frame(&mut wire, "ping").unwrap();
+    mwtj_server::write_frame(&mut wire, "status").unwrap();
+    mwtj_server::write_frame(&mut wire, "frobnicate").unwrap();
+    raw.write_all(&wire).unwrap();
+    let replies: Vec<String> = (0..3)
+        .map(|_| mwtj_server::read_frame(&mut raw).unwrap().unwrap())
+        .collect();
+    assert_eq!(replies[0], "ok pong");
+    assert!(replies[1].starts_with("ok budget=8 "), "{}", replies[1]);
+    assert!(
+        replies[2].starts_with("err unknown command"),
+        "{}",
+        replies[2]
+    );
+
+    // One frame, a byte per write.
+    let mut wire = Vec::new();
+    mwtj_server::write_frame(&mut wire, &format!("run {Q_RS}")).unwrap();
+    for byte in wire {
+        raw.write_all(&[byte]).unwrap();
+    }
+    let reply = mwtj_server::read_frame(&mut raw).unwrap().unwrap();
+    assert!(reply.starts_with("ok rows="), "{reply}");
+
+    shutdown(addr);
+    handle.join().unwrap();
+}
+
+/// Drain unblocks a connection parked in a *buffered* read: `serve`
+/// returns although an idle client never hangs up.
+#[test]
+fn shutdown_returns_with_an_idle_buffered_connection() {
+    let engine = Engine::with_units(8);
+    let server = Server::bind(engine, "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let stop = server.shutdown_handle();
+    let handle = std::thread::spawn(move || server.serve().expect("serve"));
+    let mut idle = Client::connect(addr).expect("connect");
+    // Answered once, so its worker is now parked in the next read.
+    assert_eq!(idle.request("ping").unwrap(), "ok pong");
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    assert_eq!(handle.join().unwrap(), 1);
+    // The idle client sees the server's side close.
+    assert!(idle.request("ping").is_err());
 }

@@ -10,8 +10,9 @@ use crate::columns::Columns;
 use crate::error::{Error, Result};
 use crate::relation::Relation;
 use crate::schema::{DataType, Schema};
+use crate::tuple::Tuple;
 use crate::value::Value;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Parse CSV `text` into a relation under `schema`. The first record
 /// may be a header (matched case-insensitively against the schema's
@@ -68,47 +69,88 @@ pub fn parse_csv(schema: &Schema, text: &str) -> Result<Relation> {
 
 /// Render a relation as CSV with a header line.
 pub fn to_csv(rel: &Relation) -> String {
-    let mut out = String::new();
-    for (i, f) in rel.schema().fields().iter().enumerate() {
+    let mut out = Vec::new();
+    encode_header(&mut out, rel.schema());
+    encode_rows(&mut out, rel.rows(), usize::MAX);
+    String::from_utf8(out).expect("the CSV encoder emits UTF-8")
+}
+
+/// Append the header record of `schema` (its column names) to `out`.
+pub fn encode_header(out: &mut Vec<u8>, schema: &Schema) {
+    for (i, f) in schema.fields().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        write_field(&mut out, &f.name);
+        push_field(out, &f.name);
     }
-    out.push('\n');
-    for row in rel.rows() {
+    out.push(b'\n');
+}
+
+/// Append `rows` to `out` as header-less CSV, one newline-terminated
+/// record per row (NULL is an empty field, so an all-NULL row is an
+/// empty record) — the one row encoder behind [`to_csv`] and the
+/// server's reply frames, which encode straight into their frame
+/// buffer. Encoding stops after the first row that takes `out` past
+/// `limit` bytes; returns whether every row was encoded.
+pub fn encode_rows(out: &mut Vec<u8>, rows: &[Tuple], limit: usize) -> bool {
+    for row in rows {
         for (i, v) in row.values().iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
             match v {
                 Value::Null => {}
-                Value::Int(x) => {
-                    let _ = write!(out, "{x}");
-                }
+                Value::Int(x) => push_int(out, *x),
                 Value::Double(x) => {
                     let _ = write!(out, "{x}");
                 }
-                Value::Str(s) => write_field(&mut out, s),
+                Value::Str(s) => push_field(out, s),
             }
         }
-        out.push('\n');
+        out.push(b'\n');
+        if out.len() > limit {
+            return false;
+        }
     }
-    out
+    true
 }
 
-fn write_field(out: &mut String, s: &str) {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        out.push('"');
-        for c in s.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
+/// Decimal text of `x`, without the `fmt` machinery: `i64::MIN` is a
+/// sign and 19 digits.
+fn push_int(out: &mut Vec<u8>, x: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = x.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
-        out.push('"');
+    }
+    if x < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// One string field, RFC-4180-quoted when it holds a delimiter. The
+/// three delimiters are ASCII, so scanning bytes never splits a UTF-8
+/// sequence.
+fn push_field(out: &mut Vec<u8>, s: &str) {
+    if s.bytes().any(|b| matches!(b, b',' | b'"' | b'\n')) {
+        out.push(b'"');
+        for b in s.bytes() {
+            if b == b'"' {
+                out.push(b'"');
+            }
+            out.push(b);
+        }
+        out.push(b'"');
     } else {
-        out.push_str(s);
+        out.extend_from_slice(s.as_bytes());
     }
 }
 
@@ -265,6 +307,29 @@ mod tests {
             back.rows()[0].get(1).as_str().unwrap(),
             "two\nline \"value\""
         );
+    }
+
+    #[test]
+    fn ints_render_as_display_does() {
+        for x in [0, 7, -7, 10, -10, 99, 100, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let mut out = Vec::new();
+            push_int(&mut out, x);
+            assert_eq!(String::from_utf8(out).unwrap(), x.to_string());
+        }
+    }
+
+    #[test]
+    fn row_encoding_stops_once_past_the_limit() {
+        let rows = vec![tuple![1, "ab", 0.5]; 10]; // 9 bytes a record
+        let mut out = Vec::new();
+        assert!(encode_rows(&mut out, &rows, 90));
+        assert_eq!(out.len(), 90);
+        out.clear();
+        assert!(!encode_rows(&mut out, &rows, 20));
+        assert_eq!(out.len(), 27, "stops after the row that crosses");
+        // Appends: what the caller already put in `out` counts.
+        assert!(!encode_rows(&mut out, &rows, 20));
+        assert_eq!(out.len(), 36);
     }
 
     #[test]
