@@ -14,13 +14,15 @@
 
 use crate::error::EngineError;
 use crate::options::{Method, RunOptions};
-use crate::scheduler::{AdmissionPolicy, Scheduler, Ticket};
+use crate::scheduler::{AdmissionError, AdmissionPolicy, Scheduler, Ticket};
+use crate::series;
+use crate::sys::RelationRow;
 use mwtj_cost::{CalibratedParams, Calibrator, CostModel};
 use mwtj_join::oracle::oracle_join;
 use mwtj_mapreduce::{CancelToken, Cluster, ClusterConfig, Dfs, DfsFile, ExecError, JobMetrics};
 use mwtj_obs::{
-    next_trace_id, FlightRecord, FlightRecorder, JobRecord, Outcome, QueryProfile, Registry, Span,
-    SpanRecord,
+    next_trace_id, Emit, FlightRecord, FlightRecorder, JobRecord, MetricValue, Outcome,
+    QueryProfile, Registry, Span, SpanRecord,
 };
 use mwtj_planner::{Baseline, BoundRelation, PlanError, Planner, QueryPlan, QueryRun};
 use mwtj_query::{MultiwayQuery, ParsedQuery};
@@ -199,11 +201,9 @@ pub struct PlanCacheStats {
 
 /// One coherent snapshot of every engine-wide counter group the
 /// server's `stats` command reports, gathered by a single
-/// [`Engine::stats_snapshot`] call. The previous protocol
-/// implementation read each group through a separate accessor, so a
-/// frame could pair plan-cache counters from before a run with fault
-/// counters from after it; a snapshot is assembled at one point in
-/// time instead.
+/// [`Engine::stats_snapshot`] call: a typed view of the metrics
+/// registry (the pushed totals) and of the scheduler, plan cache and
+/// catalog (the values they own).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
     /// Shared plan-cache counters.
@@ -269,10 +269,6 @@ struct Shared {
     /// Reduced-`k` replans of a degraded admission live beside the
     /// full-`k` plan under their own `k` key.
     plan_cache: RwLock<HashMap<(String, u32), CachedPlan>>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    cache_replans: AtomicU64,
     /// Monotonic LRU clock for [`CachedPlan::last_used`] stamps.
     cache_clock: AtomicU64,
     /// Cap before LRU eviction kicks in — [`PLAN_CACHE_CAP`] in
@@ -281,28 +277,10 @@ struct Shared {
     /// Observed skip fraction per plan-cache key prefix (the Eq. 2
     /// admission discount), epoch-tagged like the plan cache itself.
     skip_stats: RwLock<HashMap<String, SkipStat>>,
-    /// Units the most recent admission *requested* (after the skip
-    /// discount) — the observable for "the warm Eq. 2 estimate
-    /// shrank"; benches and tests compare it across cold/warm runs.
-    last_admission_request: AtomicU64,
-    /// Engine-wide zone-map pruning totals, accumulated per run.
-    zone_blocks: AtomicU64,
-    zone_blocks_pruned: AtomicU64,
-    zone_pairs: AtomicU64,
-    zone_pairs_pruned: AtomicU64,
-    zone_rows: AtomicU64,
-    zone_rows_pruned: AtomicU64,
-    /// Engine-wide real fault-handling totals, accumulated per run
-    /// (host attempts, real mid-execution retries, caught panics) plus
-    /// runs killed by their deadline mid-execution.
-    fault_attempts: AtomicU64,
-    fault_retries: AtomicU64,
-    fault_panics: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    /// Engine-local metrics registry: the one naming scheme behind the
-    /// server's `metrics` verb. Engine-local (not the process-global
-    /// [`mwtj_obs::global`] registry) so concurrent engines — every
-    /// test builds its own — never cross-contaminate scrapes.
+    /// The one home of every engine-wide total ([`crate::series`]): the
+    /// `metrics` verb renders it, [`Engine::stats_snapshot`] reads it.
+    /// Engine-local, so concurrent engines — every test builds its own
+    /// — never cross-contaminate scrapes.
     metrics: Registry,
     /// Engine-wide slow-query threshold in milliseconds (0 = off).
     /// A run's [`RunOptions::slow_query_ms`] overrides it per query.
@@ -445,7 +423,7 @@ impl Engine {
     pub fn with_admission_policy(config: ClusterConfig, policy: AdmissionPolicy) -> Self {
         let model = CostModel::new(config.clone(), CalibratedParams::default());
         let scheduler = Scheduler::with_policy(config.processing_units, policy);
-        Engine {
+        let engine = Engine {
             shared: Arc::new(Shared {
                 id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
                 cluster: Cluster::new(config),
@@ -455,30 +433,91 @@ impl Engine {
                 sample_cap: 512,
                 scheduler,
                 plan_cache: RwLock::new(HashMap::new()),
-                cache_hits: AtomicU64::new(0),
-                cache_misses: AtomicU64::new(0),
-                cache_evictions: AtomicU64::new(0),
-                cache_replans: AtomicU64::new(0),
                 cache_clock: AtomicU64::new(0),
                 cache_cap: AtomicUsize::new(PLAN_CACHE_CAP),
                 skip_stats: RwLock::new(HashMap::new()),
-                last_admission_request: AtomicU64::new(0),
-                zone_blocks: AtomicU64::new(0),
-                zone_blocks_pruned: AtomicU64::new(0),
-                zone_pairs: AtomicU64::new(0),
-                zone_pairs_pruned: AtomicU64::new(0),
-                zone_rows: AtomicU64::new(0),
-                zone_rows_pruned: AtomicU64::new(0),
-                fault_attempts: AtomicU64::new(0),
-                fault_retries: AtomicU64::new(0),
-                fault_panics: AtomicU64::new(0),
-                deadline_exceeded: AtomicU64::new(0),
                 metrics: Registry::new(),
                 slow_query_ms: AtomicU64::new(0),
                 columnar: AtomicBool::new(true),
                 recorder: RwLock::new(Arc::new(FlightRecorder::new())),
             }),
+        };
+        // Weak: the registry lives inside the state the collector reads.
+        let weak = Arc::downgrade(&engine.shared);
+        engine.shared.metrics.set_collector(move |emit| {
+            if let Some(shared) = weak.upgrade() {
+                Engine { shared }.collect_pulled(emit);
+            }
+        });
+        engine
+    }
+
+    /// The pulled series: what the scheduler, the plan cache and the
+    /// catalog own, read from them at scrape time — a parked query shows
+    /// at once, an unloaded relation's series vanish with it.
+    fn collect_pulled(&self, emit: &mut Emit) {
+        let st = self.shared.scheduler.stats();
+        let (epoch, rows) = self.relation_rows();
+        let gauge = |v: u64| MetricValue::Gauge(v as f64);
+        for (name, value) in [
+            (series::SCHEDULER_BUDGET, st.budget.into()),
+            (series::SCHEDULER_IN_FLIGHT, st.in_flight_units.into()),
+            (series::SCHEDULER_PEAK, st.peak_in_flight_units.into()),
+            (series::QUEUE_DEPTH, st.queued_now.into()),
+            (series::PLAN_CACHE_ENTRIES, self.plan_cache_len() as u64),
+            (series::STATS_EPOCH, epoch),
+        ] {
+            emit(name, &[], gauge(value));
         }
+        for (name, total) in [
+            (series::SCHEDULER_ADMITTED, st.admitted),
+            (series::SCHEDULER_DEGRADED, st.degraded),
+            (series::SCHEDULER_QUEUED, st.queued),
+            (series::SCHEDULER_SHED, st.shed),
+        ] {
+            emit(name, &[], MetricValue::Counter(total));
+        }
+        for row in &rows {
+            let layout = row.layout.unwrap_or_default();
+            for (name, value) in [
+                (series::STORAGE_COLUMNAR, row.layout.is_some().into()),
+                (series::STORAGE_COLUMNS, layout.columns as u64),
+                (series::STORAGE_DICT_ENTRIES, layout.dict_entries),
+                (series::STORAGE_DICT_BYTES, layout.dict_bytes),
+                (series::STORAGE_NULL_VALUES, layout.null_count),
+                (series::STORAGE_RESIDENT_BYTES, layout.resident_bytes),
+                (series::STORAGE_ENCODED_BYTES, row.bytes),
+            ] {
+                emit(name, &[("relation", &row.name)], gauge(value));
+            }
+        }
+    }
+
+    /// The one catalog walk — the statistics epoch and every loaded
+    /// instance's facts, sorted by name — that `sys.relations`,
+    /// [`StorageStats`] and the pulled storage series are views of.
+    fn relation_rows(&self) -> (u64, Vec<RelationRow>) {
+        let catalog = self.shared.catalog.read();
+        let mut rows: Vec<RelationRow> = catalog
+            .entries
+            .iter()
+            .map(|(name, e)| {
+                let blocks = &e.file.blocks;
+                let zoned = blocks.iter().filter(|b| !b.zones.columns.is_empty());
+                RelationRow {
+                    name: name.clone(),
+                    base: e.base.clone(),
+                    rows: e.relation.len() as u64,
+                    bytes: e.relation.encoded_bytes() as u64,
+                    blocks: blocks.len() as u64,
+                    zoned_blocks: zoned.count() as u64,
+                    stats_epoch: catalog.epoch,
+                    layout: e.relation.layout(),
+                }
+            })
+            .collect();
+        rows.sort_by(|a, b| a.name.cmp(&b.name));
+        (catalog.epoch, rows)
     }
 
     /// Shorthand: default cluster with `k_P` processing units.
@@ -510,68 +549,71 @@ impl Engine {
     }
 
     /// One coherent snapshot of every engine-wide counter group —
-    /// plan cache, zone skipping, faults, admission, storage —
-    /// gathered at a single point in time. This is what the
-    /// server's `stats` command serialises; prefer it over the
-    /// per-group accessors whenever more than one group is read.
+    /// plan cache, zone skipping, faults, admission, storage — as a
+    /// typed read of their homes: the metrics registry, the scheduler,
+    /// the plan cache and one catalog walk. The server's `stats` and
+    /// `status` replies serialise it.
     pub fn stats_snapshot(&self) -> EngineStats {
         let s = &self.shared;
-        // Read the hit/miss counters while holding the cache read
-        // lock, so `entries` and the counters describe one moment.
+        let total = |name| s.metrics.counter_value(name, &[]);
+        let lookups = |result| {
+            s.metrics
+                .counter_value(series::PLAN_CACHE_LOOKUPS, &[("result", result)])
+        };
+        // Lookups are counted under the cache lock, so reading them
+        // under it too makes `entries`, `hits` and `misses` describe
+        // one moment.
         let plan_cache = {
             let cache = s.plan_cache.read();
             PlanCacheStats {
                 entries: cache.len(),
-                hits: s.cache_hits.load(Ordering::Relaxed),
-                misses: s.cache_misses.load(Ordering::Relaxed),
-                evictions: s.cache_evictions.load(Ordering::Relaxed),
-                replans: s.cache_replans.load(Ordering::Relaxed),
+                hits: lookups("hit"),
+                misses: lookups("miss"),
+                evictions: total(series::PLAN_CACHE_EVICTIONS),
+                replans: total(series::PLAN_CACHE_REPLANS),
             }
         };
-        let storage = {
-            let catalog = s.catalog.read();
-            let mut t = StorageStats::default();
-            for rel in catalog.entries.values().map(|e| &e.relation) {
-                t.relations += 1;
-                t.encoded_bytes += rel.encoded_bytes() as u64;
-                if let Some(layout) = rel.layout() {
-                    t.columnar_relations += 1;
-                    t.columns += layout.columns as u64;
-                    t.dict_entries += layout.dict_entries;
-                    t.dict_bytes += layout.dict_bytes;
-                    t.null_values += layout.null_count;
-                    t.resident_bytes += layout.resident_bytes;
-                }
-            }
-            t
-        };
+        let (epoch, rows) = self.relation_rows();
+        let mut storage = StorageStats::default();
+        for row in &rows {
+            let layout = row.layout.unwrap_or_default();
+            storage.relations += 1;
+            storage.columnar_relations += u64::from(row.layout.is_some());
+            storage.columns += layout.columns as u64;
+            storage.dict_entries += layout.dict_entries;
+            storage.dict_bytes += layout.dict_bytes;
+            storage.null_values += layout.null_count;
+            storage.resident_bytes += layout.resident_bytes;
+            storage.encoded_bytes += row.bytes;
+        }
         EngineStats {
             plan_cache,
             zone: ZoneSkipStats {
-                blocks: s.zone_blocks.load(Ordering::Relaxed),
-                blocks_pruned: s.zone_blocks_pruned.load(Ordering::Relaxed),
-                pairs: s.zone_pairs.load(Ordering::Relaxed),
-                pairs_pruned: s.zone_pairs_pruned.load(Ordering::Relaxed),
-                rows: s.zone_rows.load(Ordering::Relaxed),
-                rows_pruned: s.zone_rows_pruned.load(Ordering::Relaxed),
+                blocks: total(series::ZONE_BLOCKS),
+                blocks_pruned: total(series::ZONE_BLOCKS_PRUNED),
+                pairs: total(series::ZONE_PAIRS),
+                pairs_pruned: total(series::ZONE_PAIRS_PRUNED),
+                rows: total(series::ZONE_ROWS),
+                rows_pruned: total(series::ZONE_ROWS_PRUNED),
             },
             faults: FaultStats {
-                attempts: s.fault_attempts.load(Ordering::Relaxed),
-                real_retries: s.fault_retries.load(Ordering::Relaxed),
-                panics_caught: s.fault_panics.load(Ordering::Relaxed),
-                deadline_exceeded: s.deadline_exceeded.load(Ordering::Relaxed),
+                attempts: total(series::TASK_ATTEMPTS),
+                real_retries: total(series::TASK_RETRIES),
+                panics_caught: total(series::TASK_PANICS),
+                deadline_exceeded: s.metrics.counter_sum(series::DEADLINE_EXCEEDED),
             },
             scheduler: s.scheduler.stats(),
-            last_admission_request: s.last_admission_request.load(Ordering::Relaxed) as u32,
-            epoch: self.stats_epoch(),
+            last_admission_request: self.last_admission_request(),
+            epoch,
             storage,
         }
     }
 
     /// The engine-local metrics registry: counters, gauges and
     /// histograms for every query's lifecycle, exposed by the server's
-    /// `metrics` verb. Purely observational — nothing in the engine
-    /// reads it back.
+    /// `metrics` verb (which also writes its wire histograms here).
+    /// Observation only: no plan, admission or execution decision reads
+    /// it.
     pub fn metrics(&self) -> &Registry {
         &self.shared.metrics
     }
@@ -643,7 +685,10 @@ impl Engine {
     /// until the first planned admission. Benches compare this across
     /// a cold/warm pair to show the Eq. 2 estimate shrinking.
     pub fn last_admission_request(&self) -> u32 {
-        self.shared.last_admission_request.load(Ordering::Relaxed) as u32
+        match self.shared.metrics.get(series::ADMISSION_LAST_REQUEST, &[]) {
+            Some(MetricValue::Gauge(units)) => units as u32,
+            _ => 0,
+        }
     }
 
     /// The epoch-valid skip fraction recorded for a plan-cache key
@@ -673,19 +718,21 @@ impl Engine {
     /// `+noskip` ablation would otherwise wipe a real observation.
     fn note_run_skipping(&self, run: &QueryRun, key_prefix: Option<&str>, epoch: u64) {
         let (blocks, blocks_pruned, pairs, pairs_pruned, rows, rows_pruned) = run.zone_totals();
-        let s = &self.shared;
-        s.zone_blocks.fetch_add(blocks, Ordering::Relaxed);
-        s.zone_blocks_pruned
-            .fetch_add(blocks_pruned, Ordering::Relaxed);
-        s.zone_pairs.fetch_add(pairs, Ordering::Relaxed);
-        s.zone_pairs_pruned
-            .fetch_add(pairs_pruned, Ordering::Relaxed);
-        s.zone_rows.fetch_add(rows, Ordering::Relaxed);
-        s.zone_rows_pruned.fetch_add(rows_pruned, Ordering::Relaxed);
+        for (name, delta) in [
+            (series::ZONE_BLOCKS, blocks),
+            (series::ZONE_BLOCKS_PRUNED, blocks_pruned),
+            (series::ZONE_PAIRS, pairs),
+            (series::ZONE_PAIRS_PRUNED, pairs_pruned),
+            (series::ZONE_ROWS, rows),
+            (series::ZONE_ROWS_PRUNED, rows_pruned),
+        ] {
+            self.shared.metrics.counter_add(name, &[], delta);
+        }
         if let Some(key) = key_prefix {
             if rows > 0 {
                 let fraction = rows_pruned as f64 / rows as f64;
-                s.skip_stats
+                self.shared
+                    .skip_stats
                     .write()
                     .insert(key.to_string(), SkipStat { epoch, fraction });
             }
@@ -757,14 +804,10 @@ impl Engine {
     /// Every loaded instance as `(name, cardinality)`, sorted by name
     /// (catalog inspection for serving front-ends).
     pub fn loaded_instances(&self) -> Vec<(String, usize)> {
-        let catalog = self.shared.catalog.read();
-        let mut all: Vec<(String, usize)> = catalog
-            .entries
-            .iter()
-            .map(|(name, e)| (name.clone(), e.relation.len()))
-            .collect();
-        all.sort();
-        all
+        let rows = self.relation_rows().1;
+        rows.into_iter()
+            .map(|r| (r.name, r.rows as usize))
+            .collect()
     }
 
     /// The DFS file list and loaded instances right now — the baseline
@@ -929,42 +972,6 @@ impl Engine {
             .min(augmented.encoded_bytes() as f64);
         let sampling_secs =
             augmented.encoded_bytes() as f64 * hw.c1() * 0.25 + sampled_bytes / hw.disk_write_bps;
-        // Publish the storage layout to the metrics registry (the
-        // server's `metrics` verb and `sys.metrics`): per-relation
-        // gauges describing the columnar backing, or zeroed gauges for
-        // a row-major (re)load so a layout toggle is visible.
-        {
-            let m = &self.shared.metrics;
-            let labels: &[(&str, &str)] = &[("relation", augmented.name())];
-            let layout = augmented.layout().unwrap_or_default();
-            m.gauge_set(
-                "mwtj_storage_columnar",
-                labels,
-                if augmented.columns().is_some() {
-                    1.0
-                } else {
-                    0.0
-                },
-            );
-            m.gauge_set("mwtj_storage_columns", labels, layout.columns as f64);
-            m.gauge_set(
-                "mwtj_storage_dict_entries",
-                labels,
-                layout.dict_entries as f64,
-            );
-            m.gauge_set("mwtj_storage_dict_bytes", labels, layout.dict_bytes as f64);
-            m.gauge_set("mwtj_storage_null_values", labels, layout.null_count as f64);
-            m.gauge_set(
-                "mwtj_storage_resident_bytes",
-                labels,
-                layout.resident_bytes as f64,
-            );
-            m.gauge_set(
-                "mwtj_storage_encoded_bytes",
-                labels,
-                augmented.encoded_bytes() as f64,
-            );
-        }
         let entry = CatalogEntry {
             relation: Arc::new(augmented),
             stats: Arc::new(stats),
@@ -1161,15 +1168,14 @@ impl Engine {
                 plan_span.meta("units", requested);
                 plan_span.meta("predicted_secs", format!("{:.6}", plan.predicted_secs()));
                 let plan_record = plan_span.finish();
-                self.shared
-                    .last_admission_request
-                    .store(u64::from(requested), Ordering::Relaxed);
-                let ticket = match self.admit_units(requested, plan.predicted_secs(), deadline) {
-                    Ok(ticket) => ticket,
-                    Err(e) => {
-                        return Err(self.record_refusal(q, opts, trace_id, requested, started, e))
-                    }
-                };
+                self.shared.metrics.gauge_set(
+                    series::ADMISSION_LAST_REQUEST,
+                    &[],
+                    f64::from(requested),
+                );
+                let predicted = plan.predicted_secs();
+                let ticket =
+                    self.admit_units(q, opts, trace_id, started, requested, predicted, deadline)?;
                 let plan = if ticket.degraded() {
                     let (replanned, _) = self.plan_for(
                         &planner,
@@ -1204,12 +1210,9 @@ impl Engine {
             }
             Method::YSmart | Method::Hive | Method::Pig => {
                 let plan_record = SpanRecord::synthetic("plan").with_meta("cache", "none");
-                let ticket = match self.admit_units(k_full, f64::INFINITY, deadline) {
-                    Ok(ticket) => ticket,
-                    Err(e) => {
-                        return Err(self.record_refusal(q, opts, trace_id, k_full, started, e))
-                    }
-                };
+                let unpriced = f64::INFINITY;
+                let ticket =
+                    self.admit_units(q, opts, trace_id, started, k_full, unpriced, deadline)?;
                 let (ticket, wait_record) =
                     self.finish_admission(ticket, trace_id, k_full, started, &plan_record);
                 if traced {
@@ -1295,84 +1298,65 @@ impl Engine {
         })
     }
 
-    /// An admission refusal still leaves a trace: the run enters the
-    /// flight recorder with a `shed` (queue full / shutdown) or
-    /// `deadline` outcome and zero granted units, and the per-outcome
-    /// counter is charged, before the error is surfaced unchanged.
-    fn record_refusal(
+    /// The end of every run — finished, failed or refused: charge its
+    /// outcome and enter it in the flight recorder.
+    fn record_flight(&self, outcome: Outcome, record: impl FnOnce() -> FlightRecord) {
+        let labels = [("outcome", outcome.as_str())];
+        let m = &self.shared.metrics;
+        m.counter_add(series::QUERY_OUTCOMES, &labels, 1);
+        let recorder = self.flight_recorder();
+        if recorder.is_enabled() {
+            recorder.record(record());
+        }
+    }
+
+    /// Reserve `requested` units through the scheduler. A refusal still
+    /// leaves a trace before it is surfaced: its reason is counted and
+    /// the run enters the flight recorder with a `shed` (queue full,
+    /// shutdown) or `deadline` outcome and zero granted units.
+    #[allow(clippy::too_many_arguments)]
+    fn admit_units(
         &self,
         q: &MultiwayQuery,
         opts: &RunOptions,
         trace_id: u64,
-        requested: u32,
         started: std::time::Instant,
-        e: EngineError,
-    ) -> EngineError {
-        let outcome = match &e {
-            EngineError::Admission(crate::scheduler::AdmissionError::DeadlineExceeded) => {
-                Outcome::Deadline
-            }
-            _ => Outcome::Shed,
-        };
-        self.shared.metrics.counter_add(
-            "mwtj_query_outcomes_total",
-            &[("outcome", outcome.as_str())],
-            1,
-        );
-        let recorder = self.flight_recorder();
-        if recorder.is_enabled() {
-            recorder.record(FlightRecord {
-                trace_id,
-                shape: query_shape(q),
-                method: opts.get_method().as_str().to_string(),
-                partition: opts.effective_partition().to_string(),
-                requested_units: requested,
-                granted_units: 0,
-                queued: false,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                sim_secs: 0.0,
-                rows_out: 0,
-                skip_fraction: 0.0,
-                attempts: 0,
-                real_retries: 0,
-                panics_caught: 0,
-                outcome,
-                ticket: 0,
-                jobs: Vec::new(),
-            });
-        }
-        e
-    }
-
-    /// Reserve `requested` units through the scheduler, charging a
-    /// refusal (queue-full shed, deadline refusal, shutdown) to the
-    /// registry before surfacing it.
-    fn admit_units(
-        &self,
         requested: u32,
         predicted_secs: f64,
         deadline: Option<std::time::Instant>,
     ) -> Result<Ticket, EngineError> {
-        match self
-            .shared
-            .scheduler
-            .admit_with_cost_until(requested, predicted_secs, deadline)
-        {
-            Ok(ticket) => Ok(ticket),
-            Err(e) => {
-                let reason = match &e {
-                    crate::scheduler::AdmissionError::QueueFull { .. } => "queue_full",
-                    crate::scheduler::AdmissionError::DeadlineExceeded => "deadline",
-                    crate::scheduler::AdmissionError::ShuttingDown => "shutdown",
-                };
-                self.shared.metrics.counter_add(
-                    "mwtj_admission_refused_total",
-                    &[("reason", reason)],
-                    1,
-                );
-                Err(e.into())
-            }
-        }
+        let scheduler = &self.shared.scheduler;
+        let e = match scheduler.admit_with_cost_until(requested, predicted_secs, deadline) {
+            Ok(ticket) => return Ok(ticket),
+            Err(e) => e,
+        };
+        let (reason, outcome) = match &e {
+            AdmissionError::QueueFull { .. } => ("queue_full", Outcome::Shed),
+            AdmissionError::DeadlineExceeded => ("deadline", Outcome::Deadline),
+            AdmissionError::ShuttingDown => ("shutdown", Outcome::Shed),
+        };
+        let m = &self.shared.metrics;
+        m.counter_add(series::ADMISSION_REFUSED, &[("reason", reason)], 1);
+        self.record_flight(outcome, || FlightRecord {
+            trace_id,
+            shape: query_shape(q),
+            method: opts.get_method().as_str().to_string(),
+            partition: opts.effective_partition().to_string(),
+            requested_units: requested,
+            granted_units: 0,
+            queued: false,
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            sim_secs: 0.0,
+            rows_out: 0,
+            skip_fraction: 0.0,
+            attempts: 0,
+            real_retries: 0,
+            panics_caught: 0,
+            outcome,
+            ticket: 0,
+            jobs: Vec::new(),
+        });
+        Err(e.into())
     }
 
     /// Post-admission bookkeeping shared by the planned and baseline
@@ -1401,14 +1385,9 @@ impl Engine {
             children: Vec::new(),
         };
         let m = &self.shared.metrics;
-        m.observe("mwtj_admission_wait_ms", &[], wait_ms);
-        m.counter_add("mwtj_units_requested_total", &[], u64::from(requested));
-        m.counter_add("mwtj_units_granted_total", &[], u64::from(ticket.granted()));
-        m.gauge_set(
-            "mwtj_queue_depth",
-            &[],
-            f64::from(self.shared.scheduler.stats().queued_now),
-        );
+        m.observe(series::ADMISSION_WAIT_MS, &[], wait_ms);
+        m.counter_add(series::UNITS_REQUESTED, &[], u64::from(requested));
+        m.counter_add(series::UNITS_GRANTED, &[], u64::from(ticket.granted()));
         (ticket, record)
     }
 
@@ -1455,26 +1434,16 @@ impl Engine {
             }
         };
         let method_label: [(&str, &str); 1] = [("method", method.as_str())];
+        let m = &self.shared.metrics;
         // Every execution path — Engine::run, prepared execute, and the
         // streaming worker — funnels through here, so this is the one
         // place the engine-wide fault counters are charged.
         let mut run = match run {
             Ok(run) => {
                 let totals = run.fault_totals();
-                let shared = &self.shared;
-                shared
-                    .fault_attempts
-                    .fetch_add(totals.attempts, Ordering::Relaxed);
-                shared
-                    .fault_retries
-                    .fetch_add(totals.real_retries, Ordering::Relaxed);
-                shared
-                    .fault_panics
-                    .fetch_add(totals.panics_caught, Ordering::Relaxed);
-                let m = &shared.metrics;
-                m.counter_add("mwtj_task_attempts_total", &[], totals.attempts);
-                m.counter_add("mwtj_task_retries_total", &[], totals.real_retries);
-                m.counter_add("mwtj_task_panics_total", &[], totals.panics_caught);
+                m.counter_add(series::TASK_ATTEMPTS, &[], totals.attempts);
+                m.counter_add(series::TASK_RETRIES, &[], totals.real_retries);
+                m.counter_add(series::TASK_PANICS, &[], totals.panics_caught);
                 run
             }
             Err(e) => {
@@ -1483,29 +1452,18 @@ impl Engine {
                     PlanError::Exec(ExecError::Cancelled) => Outcome::Cancelled,
                     _ => Outcome::Error,
                 };
-                if matches!(outcome, Outcome::Deadline | Outcome::Cancelled) {
-                    self.shared
-                        .deadline_exceeded
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared.metrics.counter_add(
-                        "mwtj_deadline_exceeded_total",
-                        &method_label,
-                        1,
-                    );
+                // A cancel (a client dropping its stream) is not a
+                // deadline kill; its own outcome counts it.
+                if outcome == Outcome::Deadline {
+                    m.counter_add(series::DEADLINE_EXCEEDED, &method_label, 1);
                 }
                 // A failed run is still a flight: it enters the
                 // recorder with its outcome and zero output so
                 // `sys.queries` shows errors, deadline kills and
                 // cancellations next to successes.
-                self.shared.metrics.counter_add(
-                    "mwtj_query_outcomes_total",
-                    &[("outcome", outcome.as_str())],
-                    1,
-                );
-                let recorder = self.flight_recorder();
-                if recorder.is_enabled() {
-                    recorder.record(flight_record_for(admitted, q, opts, outcome, None));
-                }
+                self.record_flight(outcome, || {
+                    flight_record_for(admitted, q, opts, outcome, None)
+                });
                 return Err(e.into());
             }
         };
@@ -1526,10 +1484,9 @@ impl Engine {
             job.trace_id = admitted.trace_id;
         }
         let wall_ms = admitted.started.elapsed().as_secs_f64() * 1e3;
-        let m = &self.shared.metrics;
-        m.counter_add("mwtj_queries_total", &method_label, 1);
-        m.observe("mwtj_query_latency_ms", &method_label, wall_ms);
-        m.gauge_set("mwtj_skip_fraction", &[], run.skip_fraction());
+        m.counter_add(series::QUERIES, &method_label, 1);
+        m.observe(series::QUERY_LATENCY_MS, &method_label, wall_ms);
+        m.gauge_set(series::SKIP_FRACTION, &[], run.skip_fraction());
         if opts.tracing_enabled() {
             let mut exec = exec_span.finish();
             exec.sim_secs = Some(run.sim_secs);
@@ -1550,26 +1507,18 @@ impl Engine {
                 root,
             });
         }
-        m.counter_add("mwtj_query_outcomes_total", &[("outcome", "ok")], 1);
-        let recorder = self.flight_recorder();
-        if recorder.is_enabled() {
-            recorder.record(flight_record_for(
-                admitted,
-                q,
-                opts,
-                Outcome::Ok,
-                Some(&run),
-            ));
-        }
+        self.record_flight(Outcome::Ok, || {
+            flight_record_for(admitted, q, opts, Outcome::Ok, Some(&run))
+        });
         let threshold = opts
             .get_slow_query_ms()
             .unwrap_or_else(|| self.shared.slow_query_ms.load(Ordering::Relaxed));
         if threshold > 0 && wall_ms >= threshold as f64 {
-            m.counter_add("mwtj_slow_queries_total", &method_label, 1);
+            m.counter_add(series::SLOW_QUERIES, &method_label, 1);
             // Slow runs keep their full profile tree in the recorder's
             // bounded retention ring, fetchable later by trace id.
             if let Some(profile) = &run.profile {
-                recorder.record_profile(profile.clone());
+                self.flight_recorder().record_profile(profile.clone());
             }
             eprintln!(
                 "slow-query trace={} method={} wall_ms={:.1} sim_secs={:.3} rows={} ticket={} plan={:?}",
@@ -1612,20 +1561,15 @@ impl Engine {
     ) -> Result<(Arc<QueryPlan>, bool), EngineError> {
         let key = (key_prefix.to_string(), k);
         let touch = || self.shared.cache_clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let hit_metrics = || {
-            self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.shared.metrics.counter_add(
-                "mwtj_plan_cache_lookups_total",
-                &[("result", "hit")],
-                1,
-            );
-        };
+        let m = &self.shared.metrics;
+        let count_lookup =
+            |result| m.counter_add(series::PLAN_CACHE_LOOKUPS, &[("result", result)], 1);
         {
             let cache = self.shared.plan_cache.read();
             if let Some(hit) = cache.get(&key) {
                 if hit.epoch == epoch {
                     hit.last_used.store(touch(), Ordering::Relaxed);
-                    hit_metrics();
+                    count_lookup("hit");
                     return Ok((Arc::clone(&hit.plan), true));
                 }
             }
@@ -1636,19 +1580,18 @@ impl Engine {
         let stale = match cache.get(&key) {
             Some(hit) if hit.epoch == epoch => {
                 hit.last_used.store(touch(), Ordering::Relaxed);
-                hit_metrics();
+                count_lookup("hit");
                 return Ok((Arc::clone(&hit.plan), true));
             }
             Some(_) => true,
             None => false,
         };
-        self.shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .metrics
-            .counter_add("mwtj_plan_cache_lookups_total", &[("result", "miss")], 1);
+        count_lookup("miss");
         let plan = Arc::new(planner.plan_query(q, stats, k)?);
-        // At the cap, evict the least-recently-used entries (one count
-        // each) — never when refreshing an existing key in place.
+        // A stale-epoch entry refreshed in place is one eviction; at
+        // the cap, so is each least-recently-used entry dropped (never
+        // when refreshing an existing key).
+        let mut evicted = u64::from(stale);
         let cap = self.shared.cache_cap.load(Ordering::Relaxed).max(1);
         if !cache.contains_key(&key) {
             while cache.len() >= cap {
@@ -1659,7 +1602,7 @@ impl Engine {
                 match victim {
                     Some(v) => {
                         cache.remove(&v);
-                        self.shared.cache_evictions.fetch_add(1, Ordering::Relaxed);
+                        evicted += 1;
                     }
                     None => break,
                 }
@@ -1673,14 +1616,9 @@ impl Engine {
                 last_used: AtomicU64::new(touch()),
             },
         );
-        if stale {
-            // A stale-epoch entry was refreshed in place: one eviction,
-            // and by definition a replan of a known shape.
-            self.shared.cache_evictions.fetch_add(1, Ordering::Relaxed);
-            self.shared.cache_replans.fetch_add(1, Ordering::Relaxed);
-        } else if replan {
-            self.shared.cache_replans.fetch_add(1, Ordering::Relaxed);
-        }
+        m.counter_add(series::PLAN_CACHE_EVICTIONS, &[], evicted);
+        // A stale refresh is by definition a replan of a known shape.
+        m.counter_add(series::PLAN_CACHE_REPLANS, &[], u64::from(stale || replan));
         Ok((plan, false))
     }
 
@@ -1852,29 +1790,7 @@ impl Engine {
             "sys.jobs" => crate::sys::jobs_relation(&self.flight_recorder().all()),
             "sys.metrics" => crate::sys::metrics_relation(&self.shared.metrics.series()),
             "sys.scheduler" => crate::sys::scheduler_relation(&self.shared.scheduler.stats()),
-            "sys.relations" => {
-                let catalog = self.shared.catalog.read();
-                let mut rows: Vec<crate::sys::RelationRow> = catalog
-                    .entries
-                    .iter()
-                    .map(|(name, e)| {
-                        let blocks = &e.file.blocks;
-                        let zoned = blocks.iter().filter(|b| !b.zones.columns.is_empty());
-                        crate::sys::RelationRow {
-                            name: name.clone(),
-                            base: e.base.clone(),
-                            rows: e.relation.len() as u64,
-                            bytes: e.relation.encoded_bytes() as u64,
-                            blocks: blocks.len() as u64,
-                            zoned_blocks: zoned.count() as u64,
-                            stats_epoch: catalog.epoch,
-                            layout: e.relation.layout(),
-                        }
-                    })
-                    .collect();
-                rows.sort_by(|a, b| a.name.cmp(&b.name));
-                crate::sys::relations_relation(&rows)
-            }
+            "sys.relations" => crate::sys::relations_relation(&self.relation_rows().1),
             _ => {
                 return Err(EngineError::RelationNotLoaded {
                     name: base.to_string(),
@@ -2104,7 +2020,8 @@ fn job_record(m: &JobMetrics) -> JobRecord {
 /// simulated map/shuffle/reduce phase durations are derived from the
 /// recorded phase-end clocks (the shuffle overlaps the map as in the
 /// paper's Fig. 3, so each phase is charged its tail past the
-/// previous phase's end), never measured separately — so building the
+/// previous phase's end); the wall widths are the job's recorded
+/// host-clock phase split. Nothing is measured here — so building the
 /// profile cannot perturb the run.
 fn job_span(index: usize, m: &JobMetrics) -> SpanRecord {
     let map_secs = m.sim_map_end_secs;
@@ -2140,6 +2057,11 @@ fn job_span(index: usize, m: &JobMetrics) -> SpanRecord {
             .with_meta("tasks", m.reduce_tasks)
             .with_meta("candidates", m.reduce_candidates),
     );
+    job.wall_ms = m.real_secs * 1e3;
+    let phases = [m.real_map_secs, m.real_shuffle_secs, m.real_reduce_secs];
+    for (phase, secs) in job.children.iter_mut().zip(phases) {
+        phase.wall_ms = secs * 1e3;
+    }
     job
 }
 
@@ -2493,6 +2415,9 @@ mod tests {
         // Exactly one entry was evicted to admit q3 — not a full clear.
         assert!(after.entries <= 2);
         assert_eq!(after.evictions, before.evictions + 1);
+        // One store: the `metrics` door lists the same eviction.
+        let line = format!("{} {}\n", series::PLAN_CACHE_EVICTIONS, after.evictions);
+        assert!(engine.metrics().render_text().contains(&line));
         // The hot shape survived: re-running q1 hits without planning.
         engine.run(&q1, &opts).unwrap();
         let warm = engine.stats_snapshot().plan_cache;

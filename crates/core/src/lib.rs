@@ -58,6 +58,7 @@ pub mod explain;
 pub mod options;
 pub mod prepare;
 pub mod scheduler;
+mod series;
 pub mod stream;
 pub mod sys;
 

@@ -8,10 +8,16 @@
 //!   batches — never reset, never decremented.
 //! * `skip_fraction()` stays in `[0, 1]` under proptest-random band
 //!   widths with zone-map skipping on.
-//! * The profile tree carries the lifecycle stages, and the engine's
-//!   metrics registry fills from real runs.
+//! * The profile tree carries the lifecycle stages with host-clock
+//!   widths down to each job's phases, and the engine's metrics
+//!   registry fills from real runs.
+//! * Every counter has one home, so the doors agree: `stats_snapshot`
+//!   (the `stats`/`status` replies), the `metrics` exposition and
+//!   `sys.metrics`/`sys.scheduler` report the same values after any
+//!   workload — cancels, deadline kills, sheds, unloads included.
 
-use mwtj_core::{Engine, Method, QueryRun, RunOptions};
+use mwtj_core::scheduler::AdmissionPolicy;
+use mwtj_core::{Engine, Method, QueryRun, RunOptions, StreamOptions, Ticket};
 use mwtj_hilbert::PartitionStrategy;
 use mwtj_mapreduce::FaultPlan;
 use mwtj_storage::{tuple, DataType, Relation, Schema};
@@ -22,7 +28,11 @@ use rand::{Rng, SeedableRng};
 /// Build an engine with three identically-seeded relations, so two
 /// engines built by this function are bit-identical.
 fn seeded_engine(units: u32) -> Engine {
-    let engine = Engine::with_units(units);
+    seeded_engine_with(units, AdmissionPolicy::default())
+}
+
+fn seeded_engine_with(units: u32, policy: AdmissionPolicy) -> Engine {
+    let engine = Engine::with_units_and_policy(units, policy);
     let mut rng = StdRng::seed_from_u64(0x0b5e);
     for (name, n, domain) in [("r", 90usize, 30i64), ("s", 70, 30), ("t", 50, 30)] {
         let schema = Schema::from_pairs(name, &[("a", DataType::Int), ("b", DataType::Int)]);
@@ -36,6 +46,171 @@ fn seeded_engine(units: u32) -> Engine {
 
 const Q3: &str = "SELECT x.a, y.b, z.a FROM r x, s y, t z \
                   WHERE x.a <= y.a AND y.b < z.b";
+const Q2: &str = "SELECT x.a, y.b FROM r x, s y WHERE x.a <= y.a";
+
+/// A relation of `n` rows `(i, i)` — value-clustered, so zone maps prune.
+fn clustered(name: &str, n: i64) -> Relation {
+    let schema = Schema::from_pairs(name, &[("a", DataType::Int), ("b", DataType::Int)]);
+    Relation::from_rows_unchecked(schema, (0..n).map(|i| tuple![i, i]).collect())
+}
+
+/// One series' value in a text exposition; a series never written reads
+/// 0, like the counter it would be.
+fn scraped(text: &str, series: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .map_or(0.0, |v| v.parse().unwrap())
+}
+
+/// The values of every label set of `name` in a text exposition.
+fn scraped_all(text: &str, name: &str) -> Vec<f64> {
+    text.lines()
+        .filter_map(|line| line.strip_prefix(name)?.strip_prefix('{'))
+        .map(|rest| rest.split_once("} ").unwrap().1.parse().unwrap())
+        .collect()
+}
+
+/// Every door reports the same facts. Call with the engine idle.
+fn assert_doors_agree(engine: &Engine) {
+    let snap = engine.stats_snapshot();
+    let names: Vec<String> = engine.metrics().series().into_iter().map(|s| s.0).collect();
+    let text = engine.metrics().render_text();
+    let (pc, z, f, sc, st) = (
+        snap.plan_cache,
+        snap.zone,
+        snap.faults,
+        snap.scheduler,
+        snap.storage,
+    );
+    for (series, stat) in [
+        ("mwtj_plan_cache_entries", pc.entries as u64),
+        ("mwtj_plan_cache_lookups_total{result=hit}", pc.hits),
+        ("mwtj_plan_cache_lookups_total{result=miss}", pc.misses),
+        ("mwtj_plan_cache_evictions_total", pc.evictions),
+        ("mwtj_plan_cache_replans_total", pc.replans),
+        ("mwtj_zone_blocks_total", z.blocks),
+        ("mwtj_zone_blocks_pruned_total", z.blocks_pruned),
+        ("mwtj_zone_pairs_total", z.pairs),
+        ("mwtj_zone_pairs_pruned_total", z.pairs_pruned),
+        ("mwtj_zone_rows_total", z.rows),
+        ("mwtj_zone_rows_pruned_total", z.rows_pruned),
+        ("mwtj_task_attempts_total", f.attempts),
+        ("mwtj_task_retries_total", f.real_retries),
+        ("mwtj_task_panics_total", f.panics_caught),
+        ("mwtj_scheduler_budget_units", u64::from(sc.budget)),
+        (
+            "mwtj_scheduler_in_flight_units",
+            u64::from(sc.in_flight_units),
+        ),
+        (
+            "mwtj_scheduler_peak_in_flight_units",
+            u64::from(sc.peak_in_flight_units),
+        ),
+        ("mwtj_queue_depth", u64::from(sc.queued_now)),
+        ("mwtj_scheduler_admitted_total", sc.admitted),
+        ("mwtj_scheduler_degraded_total", sc.degraded),
+        ("mwtj_scheduler_queued_total", sc.queued),
+        ("mwtj_scheduler_shed_total", sc.shed),
+        (
+            "mwtj_admission_last_request_units",
+            u64::from(snap.last_admission_request),
+        ),
+        ("mwtj_stats_epoch", snap.epoch),
+    ] {
+        assert_eq!(scraped(&text, series), stat as f64, "{series}\n{text}");
+    }
+    // Labelled series: `stats` reports their sum over the label.
+    for (name, stat) in [
+        ("mwtj_deadline_exceeded_total", f.deadline_exceeded),
+        ("mwtj_storage_columnar", st.columnar_relations),
+        ("mwtj_storage_columns", st.columns),
+        ("mwtj_storage_dict_entries", st.dict_entries),
+        ("mwtj_storage_dict_bytes", st.dict_bytes),
+        ("mwtj_storage_null_values", st.null_values),
+        ("mwtj_storage_resident_bytes", st.resident_bytes),
+        ("mwtj_storage_encoded_bytes", st.encoded_bytes),
+    ] {
+        let sum: f64 = scraped_all(&text, name).iter().sum();
+        assert_eq!(sum, stat as f64, "{name}\n{text}");
+    }
+    assert_eq!(
+        scraped_all(&text, "mwtj_storage_columnar").len() as u64,
+        st.relations
+    );
+    // `sys.metrics` is the same series set (its snapshot is taken
+    // before the query that reads it writes anything).
+    let sys = engine
+        .run_sql("SELECT m.name FROM sys.metrics m, sys.scheduler s WHERE s.queued_now <= m.count")
+        .unwrap();
+    let mut sys_names: Vec<String> = sys
+        .output
+        .rows()
+        .iter()
+        .map(|t| t.values()[0].as_str().unwrap().to_string())
+        .collect();
+    sys_names.sort();
+    assert_eq!(sys_names, names);
+    // `sys.scheduler` is the `status` reply.
+    let row = engine
+        .run_sql(
+            "SELECT s.budget, s.in_flight_units, s.peak_in_flight_units, s.queued_now, \
+             s.admitted, s.degraded, s.queued, s.shed \
+             FROM sys.scheduler s, sys.scheduler t WHERE s.budget = t.budget",
+        )
+        .unwrap();
+    let row: Vec<i64> = row.output.rows()[0]
+        .values()
+        .iter()
+        .map(|v| v.as_int().unwrap())
+        .collect();
+    let sc = engine.scheduler().stats();
+    assert_eq!(
+        row,
+        [
+            i64::from(sc.budget),
+            i64::from(sc.in_flight_units),
+            i64::from(sc.peak_in_flight_units),
+            i64::from(sc.queued_now),
+            sc.admitted as i64,
+            sc.degraded as i64,
+            sc.queued as i64,
+            sc.shed as i64,
+        ]
+    );
+}
+
+/// Hold the whole `units` budget and park one run of `sql` in the
+/// admission queue; returns once the scheduler shows it waiting.
+fn park(
+    engine: &Engine,
+    units: u32,
+    sql: &'static str,
+) -> (Ticket, std::thread::JoinHandle<QueryRun>) {
+    let hog = engine.scheduler().admit(units).unwrap();
+    let parked = {
+        let engine = engine.clone();
+        std::thread::spawn(move || engine.run_sql(sql).unwrap())
+    };
+    while engine.scheduler().stats().queued_now == 0 {
+        std::thread::yield_now();
+    }
+    (hog, parked)
+}
+
+/// Take one batch of a streamed run of `sql`, then drop the stream:
+/// the client walked away, the run is cancelled.
+fn cancel_mid_stream(engine: &Engine, sql: &str) {
+    let mut stream = engine
+        .run_sql_streamed(
+            "cancel",
+            sql,
+            &RunOptions::default(),
+            &StreamOptions::new().batch_rows(1).channel_depth(1),
+        )
+        .unwrap();
+    assert!(stream.next_batch().unwrap().is_some());
+    drop(stream); // joins the worker: the cancel has been counted
+}
 
 /// Everything a run reports that instrumentation must not perturb,
 /// with f64s captured as bits so "close enough" can never pass.
@@ -179,6 +354,7 @@ fn fault_counters_are_monotone_across_run_many() {
     // With p = 0.3 over three 2-query rounds, some retry fired with
     // overwhelming probability — the counter is not constant-zero.
     assert!(last.faults.real_retries > 0, "{:?}", last.faults);
+    assert_doors_agree(&engine);
 }
 
 /// A run populates the engine's registry: query counters, latency
@@ -211,6 +387,216 @@ fn metrics_registry_fills_from_runs() {
             .counter_value("mwtj_queries_total", &[("method", "ours")]),
         0
     );
+}
+
+/// A client that drops its stream is a cancel, not a deadline kill
+/// (the parent commit charged `deadline_exceeded` for both).
+#[test]
+fn cancelled_run_is_not_a_deadline_kill() {
+    let engine = seeded_engine(8);
+    let outcomes = |outcome: &str| {
+        engine
+            .metrics()
+            .counter_value("mwtj_query_outcomes_total", &[("outcome", outcome)])
+    };
+    cancel_mid_stream(&engine, Q2);
+    assert_eq!(engine.stats_snapshot().faults.deadline_exceeded, 0);
+    assert_eq!(outcomes("cancelled"), 1);
+
+    // A deadline kill still counts, once. (Planned already, so the 3 ms
+    // go to execution; should the host stall before admission instead,
+    // the run is refused there, which `mwtj_admission_refused_total`
+    // counts.)
+    let _ = engine.load_relation(&clustered("big", 20_000));
+    let slow = "SELECT x.a FROM big x, big y, big z WHERE x.a = y.a AND y.b = z.b";
+    engine.run_sql(slow).unwrap();
+    let err = engine
+        .run_sql_with("kill", slow, &RunOptions::default().deadline_ms(3))
+        .unwrap_err();
+    assert!(err.is_deadline_exceeded(), "{err}");
+    let refused = engine
+        .metrics()
+        .counter_value("mwtj_admission_refused_total", &[("reason", "deadline")]);
+    assert_eq!(
+        engine.stats_snapshot().faults.deadline_exceeded + refused,
+        1
+    );
+    assert_eq!(outcomes("deadline"), 1);
+    assert_eq!(outcomes("cancelled"), 1);
+    assert_doors_agree(&engine);
+}
+
+/// The pull rule, where the push rule failed: a relation's series live
+/// exactly as long as the relation, and the queue depth is the
+/// scheduler's own, now.
+#[test]
+fn pulled_series_follow_their_owners() {
+    let engine = seeded_engine(4);
+    let carries_r = |line: &str| line.contains("relation=r}") || line.contains("relation=r,");
+    let scrape_r = || -> Vec<String> {
+        let text = engine.metrics().render_text();
+        text.lines()
+            .filter(|l| carries_r(l))
+            .map(String::from)
+            .collect()
+    };
+    let loaded = scrape_r();
+    assert_eq!(loaded.len(), 7, "{loaded:?}");
+    assert!(loaded.contains(&"mwtj_storage_columnar{relation=r} 1".to_string()));
+
+    assert!(engine.unload("r"));
+    assert_eq!(scrape_r(), Vec::<String>::new());
+    assert!(!engine.metrics().render_json().contains("relation=r}"));
+    let sys = engine
+        .run_sql("SELECT m.name FROM sys.metrics m, sys.scheduler s WHERE s.queued_now <= m.count")
+        .unwrap();
+    for row in sys.output.rows() {
+        assert!(!carries_r(row.values()[0].as_str().unwrap()), "{row:?}");
+    }
+
+    // Reloaded under the same name with another layout: the new facts,
+    // once.
+    engine.set_columnar_storage(false);
+    let _ = engine.load_relation(&clustered("r", 10));
+    let reloaded = scrape_r();
+    assert_eq!(reloaded.len(), 7, "{reloaded:?}");
+    assert!(reloaded.contains(&"mwtj_storage_columnar{relation=r} 0".to_string()));
+    assert!(reloaded.contains(&"mwtj_storage_resident_bytes{relation=r} 0".to_string()));
+
+    // A parked query is visible while it waits, not after the next
+    // admission gets through.
+    let (hog, parked) = park(&engine, 4, Q2);
+    assert_eq!(engine.scheduler().stats().queued_now, 1);
+    let text = engine.metrics().render_text();
+    assert_eq!(scraped(&text, "mwtj_queue_depth"), 1.0, "{text}");
+    assert_eq!(scraped(&text, "mwtj_scheduler_in_flight_units"), 4.0);
+    drop(hog);
+    parked.join().unwrap();
+    assert_eq!(
+        scraped(&engine.metrics().render_text(), "mwtj_queue_depth"),
+        0.0
+    );
+    assert_doors_agree(&engine);
+}
+
+/// After a workload that exercises every counter — cold and warm runs,
+/// a degraded replan, pruning, injected faults, a shed, a deadline
+/// kill, a cancel — all doors still agree; then under 8-way
+/// concurrency no lookup or admission is lost or double-counted.
+#[test]
+fn the_doors_agree_after_a_mixed_workload() {
+    let policy = AdmissionPolicy {
+        max_queue: Some(1),
+        ..AdmissionPolicy::default()
+    };
+    let engine = seeded_engine_with(8, policy);
+    let _ = engine.load_relation(&clustered("c", 12_000));
+    let _ = engine.load_relation(&clustered("d", 50));
+
+    // Cold, then warm.
+    engine.run_sql(Q3).unwrap();
+    engine.run_sql(Q3).unwrap();
+    // Degraded: one unit short of the ask.
+    let ask = engine.last_admission_request();
+    assert!(ask >= 2, "a one-unit ask cannot degrade");
+    let hold = engine.scheduler().admit(8 - ask + 1).unwrap();
+    assert!(engine.run_sql(Q3).unwrap().granted_units < ask);
+    drop(hold);
+    // Clustered blocks under a narrow band prune.
+    let pruning = "SELECT x.a FROM c x, d y WHERE x.a < y.a";
+    assert!(engine.run_sql(pruning).unwrap().skip_fraction() > 0.5);
+    // Injected faults really retry.
+    let faulty = RunOptions::default().fault_plan(FaultPlan::with_probability(0.3, 0x5eed));
+    engine.run_sql_with("faulty", Q3, &faulty).unwrap();
+    // Budget held, one query parked, queue bound 1: the next is shed.
+    let (hog, parked) = park(&engine, 8, Q2);
+    let shed = engine.run_sql(Q2).unwrap_err();
+    assert!(format!("{shed}").contains("queue full"), "{shed}");
+    drop(hog);
+    parked.join().unwrap();
+    // A deadline that is already over, and a cancel.
+    engine
+        .run_sql_with("late", Q2, &RunOptions::default().deadline_ms(0))
+        .unwrap_err();
+    cancel_mid_stream(&engine, Q2);
+
+    let snap = engine.stats_snapshot();
+    assert!(snap.plan_cache.hits >= 1 && snap.plan_cache.misses >= 2);
+    assert!(snap.plan_cache.replans >= 1 && snap.scheduler.degraded >= 1);
+    assert!(snap.zone.rows_pruned > 0 && snap.faults.real_retries > 0);
+    assert!(snap.scheduler.shed >= 1);
+    assert_doors_agree(&engine);
+
+    // 8 threads × 50 runs of one statement on a default-policy engine.
+    let engine = seeded_engine(8);
+    let admitted = engine.scheduler().stats().admitted;
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            scope.spawn(|| {
+                for _ in 0..50 {
+                    engine.run_sql(Q2).unwrap();
+                }
+            });
+        }
+    });
+    let snap = engine.stats_snapshot();
+    assert_eq!(snap.scheduler.admitted, admitted + 400);
+    let lookups: f64 = scraped_all(
+        &engine.metrics().render_text(),
+        "mwtj_plan_cache_lookups_total",
+    )
+    .iter()
+    .sum();
+    assert_eq!(
+        (snap.plan_cache.hits + snap.plan_cache.misses) as f64,
+        lookups
+    );
+    assert!(lookups >= 400.0);
+    assert_doors_agree(&engine);
+}
+
+/// No dark time under `execute`: a job's map/shuffle/reduce spans
+/// carry host-clock widths, so the leaves of the profile account for
+/// the root's wall time — and measuring them perturbs nothing.
+#[test]
+fn profile_leaves_cover_the_wall_time() {
+    let build = || {
+        let engine = Engine::with_units(8);
+        for name in ["u", "v", "w"] {
+            let _ = engine.load_relation(&clustered(name, 1_000));
+        }
+        engine
+    };
+    let chain = "SELECT x.a, z.b FROM u x, v y, w z \
+                 WHERE x.a <= y.a AND y.a <= x.a + 2 AND y.b <= z.b AND z.b <= y.b + 2";
+    let (traced_engine, plain_engine) = (build(), build());
+    let traced = traced_engine
+        .run_sql_with("cover", chain, &RunOptions::default())
+        .unwrap();
+    let plain = plain_engine
+        .run_sql_with("cover", chain, &RunOptions::default().tracing(false))
+        .unwrap();
+    assert_eq!(fingerprint(&traced), fingerprint(&plain));
+
+    fn leaf_wall_ms(span: &mwtj_core::SpanRecord) -> f64 {
+        if span.children.is_empty() {
+            span.wall_ms
+        } else {
+            span.children.iter().map(leaf_wall_ms).sum()
+        }
+    }
+    let root = &traced.profile().unwrap().root;
+    assert!(root.wall_ms >= 10.0, "too fast to judge: {}", root.wall_ms);
+    assert_eq!(traced.jobs.len(), 1, "a single chain job: {}", traced.plan);
+    let coverage = leaf_wall_ms(root) / root.wall_ms;
+    assert!(
+        coverage >= 0.9,
+        "leaves cover {coverage:.3} of the wall time\n{}",
+        traced.profile().unwrap().render()
+    );
+    let job = &traced.jobs[0];
+    let phases = job.real_map_secs + job.real_shuffle_secs + job.real_reduce_secs;
+    assert!((phases - job.real_secs).abs() < 1e-9);
 }
 
 proptest! {

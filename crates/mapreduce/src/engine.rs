@@ -432,6 +432,7 @@ impl Engine {
         if let Some(e) = first_err {
             return Err(e);
         }
+        let map_done = Instant::now();
 
         // ---- simulated map + copy phases ----
         // Each map task: sequential block read + per-record CPU + spill.
@@ -492,6 +493,7 @@ impl Engine {
             }
         }
         let (zone_pairs, zone_pairs_pruned) = skipf.map_or((0, 0), |f| f.pair_counts());
+        let shuffle_done = Instant::now();
 
         // ---- reduce phase (real) ----
         // Hadoop's actual sort-merge semantics: each reduce task sorts
@@ -566,6 +568,7 @@ impl Engine {
             self.dfs.put_relation(name, &output, &self.config);
         }
 
+        let done = Instant::now();
         let metrics = JobMetrics {
             name: job.name(),
             ticket: 0,
@@ -585,7 +588,10 @@ impl Engine {
             sim_map_end_secs: sim_map_end,
             sim_shuffle_end_secs: sim_shuffle_end,
             sim_total_secs: sim_total,
-            real_secs: wall_start.elapsed().as_secs_f64(),
+            real_secs: (done - wall_start).as_secs_f64(),
+            real_map_secs: (map_done - wall_start).as_secs_f64(),
+            real_shuffle_secs: (shuffle_done - map_done).as_secs_f64(),
+            real_reduce_secs: (done - shuffle_done).as_secs_f64(),
             map_attempts,
             reduce_attempts,
             real_map_retries,

@@ -56,6 +56,15 @@ pub struct JobMetrics {
     pub sim_total_secs: f64,
     /// Host wall-clock seconds actually spent executing.
     pub real_secs: f64,
+    /// Host wall-clock split of `real_secs` (the three sum to it):
+    /// input collection + map tasks, moving map output into reducer
+    /// buffers, and reduce tasks + output assembly. Observation only —
+    /// nothing reads these back.
+    pub real_map_secs: f64,
+    /// See [`JobMetrics::real_map_secs`].
+    pub real_shuffle_secs: f64,
+    /// See [`JobMetrics::real_map_secs`].
+    pub real_reduce_secs: f64,
     /// Total map task attempts (= map_tasks when no faults injected).
     pub map_attempts: u32,
     /// Total reduce task attempts (= reduce_tasks when no faults).

@@ -33,5 +33,5 @@ pub mod metrics;
 pub mod trace;
 
 pub use flight::{FlightRecord, FlightRecorder, JobRecord, Outcome, DEFAULT_FLIGHT_CAPACITY};
-pub use metrics::{global, MetricValue, Registry, DEFAULT_LATENCY_BUCKETS_MS};
+pub use metrics::{Emit, MetricValue, Registry, DEFAULT_LATENCY_BUCKETS_MS};
 pub use trace::{next_trace_id, QueryProfile, Span, SpanRecord};

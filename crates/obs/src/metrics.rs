@@ -9,6 +9,9 @@
 //! hash their series name across a fixed set of mutex shards so
 //! concurrent query threads rarely contend; readers lock shard by
 //! shard and sort, so a scrape is cheap and deterministic.
+//! A value some live state already owns (a queue depth, a loaded
+//! relation's layout) is not written at all: the registry's collector
+//! reads it from its owner at every scrape, so it cannot go stale.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -81,14 +84,16 @@ pub enum MetricValue {
     },
 }
 
-/// A sharded registry of counters, gauges and histograms.
-///
-/// The engine owns one per instance (so parallel tests never
-/// cross-contaminate); [`global`] offers a process-wide default for
-/// code with no engine in reach.
-#[derive(Debug)]
+/// The `emit(name, labels, value)` sink the collector of pulled series
+/// ([`Registry::set_collector`]) writes to.
+pub type Emit<'a> = dyn FnMut(&str, &[(&str, &str)], MetricValue) + 'a;
+type Collector = Box<dyn Fn(&mut Emit) + Send + Sync>;
+
+/// A sharded registry of counters, gauges and histograms. The engine
+/// owns one per instance, so parallel tests never cross-contaminate.
 pub struct Registry {
     shards: Vec<Mutex<HashMap<Key, MetricValue>>>,
+    collector: OnceLock<Collector>,
 }
 
 impl Default for Registry {
@@ -102,7 +107,17 @@ impl Registry {
     pub fn new() -> Registry {
         Registry {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            collector: OnceLock::new(),
         }
+    }
+
+    /// Install the collector of pulled series (once; later calls are
+    /// ignored). Every scrape — [`Registry::series`], both renderers —
+    /// runs it, so never scrape while holding a lock it takes. The
+    /// by-name reads ([`Registry::get`] and friends) see pushed series
+    /// only.
+    pub fn set_collector(&self, collector: impl Fn(&mut Emit) + Send + Sync + 'static) {
+        let _ = self.collector.set(Box::new(collector));
     }
 
     fn shard(&self, key: &Key) -> &Mutex<HashMap<Key, MetricValue>> {
@@ -175,6 +190,21 @@ impl Registry {
         }
     }
 
+    /// Sum a counter over every label set it was written with (0 if
+    /// never written).
+    pub fn counter_sum(&self, name: &str) -> u64 {
+        let mut sum = 0;
+        for shard in &self.shards {
+            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
+            for (key, value) in shard.iter() {
+                if let (true, MetricValue::Counter(v)) = (key.name == name, value) {
+                    sum += v;
+                }
+            }
+        }
+        sum
+    }
+
     /// Read a histogram's observation count (0 if never written).
     pub fn histogram_count(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         match self.get(name, labels) {
@@ -190,13 +220,16 @@ impl Registry {
         shard.get(&key).cloned()
     }
 
-    /// Every series, sorted by name then labels — the single source
-    /// both renderers consume.
+    /// Every series, pushed and pulled, sorted by name then labels —
+    /// the single source both renderers consume.
     fn snapshot(&self) -> Vec<(Key, MetricValue)> {
         let mut all: Vec<(Key, MetricValue)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
             all.extend(shard.iter().map(|(k, v)| (k.clone(), v.clone())));
+        }
+        if let Some(collect) = self.collector.get() {
+            collect(&mut |name, labels, value| all.push((Key::new(name, labels), value)));
         }
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all
@@ -337,13 +370,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// The process-wide default registry, for instrumentation points
-/// with no engine-owned registry in reach.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]
@@ -503,9 +529,29 @@ mod tests {
     }
 
     #[test]
-    fn global_registry_is_a_singleton() {
-        let a = global() as *const Registry;
-        let b = global() as *const Registry;
-        assert_eq!(a, b);
+    fn pulled_series_are_read_from_their_owner_at_every_scrape() {
+        let reg = Registry::new();
+        let depth = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(3));
+        let owner = std::sync::Arc::clone(&depth);
+        reg.set_collector(move |emit| {
+            let v = owner.load(std::sync::atomic::Ordering::Relaxed);
+            emit("depth", &[("q", "a")], MetricValue::Gauge(v as f64));
+        });
+        reg.counter_add("e_total", &[("m", "x")], 2);
+        reg.counter_add("e_total", &[("m", "y")], 5);
+        assert_eq!(
+            reg.render_text(),
+            "depth{q=a} 3\ne_total{m=x} 2\ne_total{m=y} 5\n"
+        );
+        depth.store(0, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(
+            reg.series()[0],
+            ("depth{q=a}".into(), MetricValue::Gauge(0.0))
+        );
+        assert!(reg.render_json().starts_with("{\"depth{q=a}\":0,"));
+        // By-name reads cover pushed series only.
+        assert_eq!(reg.get("depth", &[("q", "a")]), None);
+        assert_eq!(reg.counter_sum("e_total"), 7);
+        assert_eq!(reg.counter_sum("depth"), 0);
     }
 }

@@ -523,7 +523,12 @@ fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (
             // make e.g. `hits` and `misses` disagree about how many
             // lookups happened.
             let snap = engine.stats_snapshot();
-            let (st, zs, fs) = (snap.plan_cache, snap.zone, snap.faults);
+            let (st, zs, fs, sto) = (snap.plan_cache, snap.zone, snap.faults, snap.storage);
+            let compression = if sto.resident_bytes > 0 {
+                sto.encoded_bytes as f64 / sto.resident_bytes as f64
+            } else {
+                0.0
+            };
             let fields = [
                 ("entries", st.entries.to_string()),
                 ("hits", st.hits.to_string()),
@@ -541,37 +546,15 @@ fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (
                 ("deadline_exceeded", fs.deadline_exceeded.to_string()),
                 ("shed", snap.scheduler.shed.to_string()),
                 ("epoch", snap.epoch.to_string()),
-                ("storage_relations", snap.storage.relations.to_string()),
-                (
-                    "storage_columnar",
-                    snap.storage.columnar_relations.to_string(),
-                ),
-                ("storage_columns", snap.storage.columns.to_string()),
-                (
-                    "storage_dict_entries",
-                    snap.storage.dict_entries.to_string(),
-                ),
-                ("storage_dict_bytes", snap.storage.dict_bytes.to_string()),
-                ("storage_null_values", snap.storage.null_values.to_string()),
-                (
-                    "storage_resident_bytes",
-                    snap.storage.resident_bytes.to_string(),
-                ),
-                (
-                    "storage_encoded_bytes",
-                    snap.storage.encoded_bytes.to_string(),
-                ),
-                (
-                    "storage_compression",
-                    format!(
-                        "{:.6}",
-                        if snap.storage.resident_bytes > 0 {
-                            snap.storage.encoded_bytes as f64 / snap.storage.resident_bytes as f64
-                        } else {
-                            0.0
-                        }
-                    ),
-                ),
+                ("storage_relations", sto.relations.to_string()),
+                ("storage_columnar", sto.columnar_relations.to_string()),
+                ("storage_columns", sto.columns.to_string()),
+                ("storage_dict_entries", sto.dict_entries.to_string()),
+                ("storage_dict_bytes", sto.dict_bytes.to_string()),
+                ("storage_null_values", sto.null_values.to_string()),
+                ("storage_resident_bytes", sto.resident_bytes.to_string()),
+                ("storage_encoded_bytes", sto.encoded_bytes.to_string()),
+                ("storage_compression", format!("{compression:.6}")),
             ];
             (ok_response(&fields, None), Action::Continue)
         }
@@ -632,7 +615,8 @@ fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (
             Err(e) => (err_response(e), Action::Continue),
         },
         Request::Status => {
-            let st = engine.scheduler().stats();
+            let snap = engine.stats_snapshot();
+            let st = snap.scheduler;
             let fields = [
                 ("budget", st.budget.to_string()),
                 ("in_flight", st.in_flight_units.to_string()),
@@ -641,8 +625,8 @@ fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (
                 ("admitted", st.admitted.to_string()),
                 ("degraded", st.degraded.to_string()),
                 ("queued", st.queued.to_string()),
-                ("relations", engine.loaded_instances().len().to_string()),
-                ("epoch", engine.stats_epoch().to_string()),
+                ("relations", snap.storage.relations.to_string()),
+                ("epoch", snap.epoch.to_string()),
             ];
             (ok_response(&fields, None), Action::Continue)
         }

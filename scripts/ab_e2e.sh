@@ -6,8 +6,8 @@
 #   usage: scripts/ab_e2e.sh <parent-ref> [pairs] [seeds…]
 #          (10 pairs per seed, seeds 1 and 2, unless given)
 #
-# The parent is checked out into a git worktree under target/ and
-# removed again on exit; benchmark/ is built once per side, each into
+# The parent is exported (`git archive`) into a directory under target/
+# and removed again on exit; benchmark/ is built once per side, each into
 # its own directory, and the two executables are then run in turn —
 # workload by workload, parent and change back to back, the side that
 # goes first alternating from pair to pair. Workloads, metrics, their
@@ -39,13 +39,11 @@ parent_dir=$work/parent
 runs=$work/runs.jsonl
 mkdir -p "$work"
 
-cleanup() {
-    git worktree remove --force "$parent_dir" 2>/dev/null || true
-    git worktree prune
-}
+cleanup() { rm -rf "$parent_dir"; }
 trap cleanup EXIT
 cleanup
-git worktree add --quiet --detach "$parent_dir" "$parent_ref"
+mkdir -p "$parent_dir"
+git archive "$parent_ref" | tar -x -C "$parent_dir"
 
 parent_rev=$(git rev-parse --short "$parent_ref")
 change_rev=$(git describe --always --dirty)

@@ -6,8 +6,10 @@
 # answers a profile frame with the lifecycle stages. Finally the
 # flight-recorder loop: `history` answers the run we just made, the
 # same trace id is visible to plain SQL over `sys.queries`, and
-# `profile <trace>` renders the retained tree. Expects the release
-# binary (cargo build --release -p mwtj-server).
+# `profile <trace>` renders the retained tree. Last, one store behind
+# every door: `stats` fields equal their `metrics` lines, and an
+# unloaded relation takes its `mwtj_storage_*` series with it. Expects
+# the release binary (cargo build --release -p mwtj-server).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,8 +110,30 @@ if "$BIN" client --profile 999999999 "$ADDR" >/dev/null 2>&1; then
   echo "obs smoke: bogus profile id must answer err"; exit 1
 fi
 
+# One store behind both doors: the `stats` reply and the `metrics`
+# exposition are read back to back on an idle server and must agree.
+STATS=$("$BIN" client "$ADDR" stats)
+METRICS=$("$BIN" client "$ADDR" metrics)
+for PAIR in 'hits=mwtj_plan_cache_lookups_total{result=hit}' \
+            'task_attempts=mwtj_task_attempts_total' \
+            'zone_rows_pruned=mwtj_zone_rows_pruned_total'; do
+  FIELD=${PAIR%%=*} SERIES=${PAIR#*=}
+  WANT=$(grep -o " $FIELD=[0-9]*" <<<"$STATS" | cut -d= -f2)
+  GOT=$(grep -F "$SERIES " <<<"$METRICS" | cut -d' ' -f2)
+  [ -n "$WANT" ] && [ "$WANT" = "${GOT:-0}" ] \
+    || { echo "obs smoke: stats $FIELD=$WANT but $SERIES=${GOT:-0}"; exit 1; }
+done
+
+# Pulled, never copied: an unloaded relation takes its series with it.
+grep -q '^mwtj_storage_columns{relation=t} ' <<<"$METRICS" \
+  || { echo "obs smoke: no storage series for t"; echo "$METRICS"; exit 1; }
+"$BIN" client "$ADDR" unload t >/dev/null
+if "$BIN" client "$ADDR" metrics | grep '^mwtj_storage_.*{relation=t}'; then
+  echo "obs smoke: unloaded relation t still has storage series"; exit 1
+fi
+
 "$BIN" client "$ADDR" shutdown >/dev/null
 wait "$SERVER_PID"
 trap - EXIT
 rm -f "$SERVER_LOG"
-echo "obs smoke: exposition parses, latency count=$LATENCY_COUNT, explain analyze profiled, sys.queries sees trace $TRACE"
+echo "obs smoke: exposition parses, latency count=$LATENCY_COUNT, explain analyze profiled, sys.queries sees trace $TRACE, stats = metrics"
