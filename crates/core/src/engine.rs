@@ -1444,6 +1444,8 @@ impl Engine {
                 m.counter_add(series::TASK_ATTEMPTS, &[], totals.attempts);
                 m.counter_add(series::TASK_RETRIES, &[], totals.real_retries);
                 m.counter_add(series::TASK_PANICS, &[], totals.panics_caught);
+                let examined = run.jobs.iter().filter_map(|j| j.reduce_examined).sum();
+                m.counter_add(series::REDUCE_EXAMINED, &[], examined);
                 run
             }
             Err(e) => {
@@ -2007,6 +2009,8 @@ fn job_record(m: &JobMetrics) -> JobRecord {
         input_records: m.input_records,
         output_records: m.output_records,
         shuffle_bytes: m.map_output_bytes,
+        candidates: m.reduce_candidates,
+        examined: m.reduce_examined,
         sim_secs: m.sim_total_secs,
         real_secs: m.real_secs,
         skip_fraction: m.skip_fraction(),
@@ -2051,12 +2055,16 @@ fn job_span(index: usize, m: &JobMetrics) -> SpanRecord {
             .with_sim_secs(shuffle_secs)
             .with_meta("bytes", m.map_output_bytes),
     );
-    job.children.push(
-        SpanRecord::synthetic(&format!("job{index}/reduce"))
-            .with_sim_secs(reduce_secs)
-            .with_meta("tasks", m.reduce_tasks)
-            .with_meta("candidates", m.reduce_candidates),
-    );
+    // `candidates` is the priced work (the simulated clock's);
+    // `examined`, where the job counts it, what the host visited.
+    let mut reduce = SpanRecord::synthetic(&format!("job{index}/reduce"))
+        .with_sim_secs(reduce_secs)
+        .with_meta("tasks", m.reduce_tasks)
+        .with_meta("candidates", m.reduce_candidates);
+    if let Some(examined) = m.reduce_examined {
+        reduce = reduce.with_meta("examined", examined);
+    }
+    job.children.push(reduce);
     job.wall_ms = m.real_secs * 1e3;
     let phases = [m.real_map_secs, m.real_shuffle_secs, m.real_reduce_secs];
     for (phase, secs) in job.children.iter_mut().zip(phases) {

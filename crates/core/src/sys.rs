@@ -76,6 +76,10 @@ pub fn schema_of(base: &str) -> Option<Schema> {
             ("input_records", DataType::Int),
             ("output_records", DataType::Int),
             ("shuffle_bytes", DataType::Int),
+            // Priced reduce work, and what the host visited for it
+            // (NULL for jobs that do not count their visits).
+            ("candidates", DataType::Int),
+            ("examined", DataType::Int),
             ("sim_secs", DataType::Double),
             ("real_secs", DataType::Double),
             ("skip_fraction", DataType::Double),
@@ -175,6 +179,8 @@ pub fn jobs_relation(records: &[FlightRecord]) -> Relation {
                     int(j.input_records),
                     int(j.output_records),
                     int(j.shuffle_bytes),
+                    int(j.candidates),
+                    j.examined.map_or(Value::Null, int),
                     Value::Double(j.sim_secs),
                     Value::Double(j.real_secs),
                     Value::Double(j.skip_fraction),
@@ -333,6 +339,8 @@ mod tests {
                 input_records: 100,
                 output_records: 99,
                 shuffle_bytes: 2048,
+                candidates: 5000,
+                examined: Some(120),
                 sim_secs: 0.25,
                 real_secs: 0.01,
                 skip_fraction: 0.5,

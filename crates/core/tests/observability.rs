@@ -11,6 +11,9 @@
 //! * The profile tree carries the lifecycle stages with host-clock
 //!   widths down to each job's phases, and the engine's metrics
 //!   registry fills from real runs.
+//! * `examined` says which reducer path ran: below the priced
+//!   `candidates` on a tight band chain, equal to it on a `<>`-only
+//!   chain — in `EXPLAIN ANALYZE`, `sys.jobs` and the metrics series.
 //! * Every counter has one home, so the doors agree: `stats_snapshot`
 //!   (the `stats`/`status` replies), the `metrics` exposition and
 //!   `sys.metrics`/`sys.scheduler` report the same values after any
@@ -560,10 +563,19 @@ fn the_doors_agree_after_a_mixed_workload() {
 /// the root's wall time — and measuring them perturbs nothing.
 #[test]
 fn profile_leaves_cover_the_wall_time() {
+    // Sized for the key-range chain reducer: 20 000 unclustered rows a
+    // side keep map, shuffle and reduce busy for tens of milliseconds
+    // even in release, while the sparse band keeps the (unspanned)
+    // output assembly to ~2 000 rows.
     let build = || {
         let engine = Engine::with_units(8);
+        let mut rng = StdRng::seed_from_u64(0xc0e4);
         for name in ["u", "v", "w"] {
-            let _ = engine.load_relation(&clustered(name, 1_000));
+            let schema = Schema::from_pairs(name, &[("a", DataType::Int), ("b", DataType::Int)]);
+            let rows = (0..20_000)
+                .map(|_| tuple![rng.gen_range(0..200_000), rng.gen_range(0..200_000)])
+                .collect();
+            let _ = engine.load_relation(&Relation::from_rows_unchecked(schema, rows));
         }
         engine
     };
@@ -597,6 +609,77 @@ fn profile_leaves_cover_the_wall_time() {
     let job = &traced.jobs[0];
     let phases = job.real_map_secs + job.real_shuffle_secs + job.real_reduce_secs;
     assert!((phases - job.real_secs).abs() < 1e-9);
+}
+
+/// Priced vs examined: the chain reducer's key-range descent visits a
+/// fraction of what the simulated clock charges on a tight band, and
+/// exactly what it charges where no predicate bounds a key (`<>`).
+/// `EXPLAIN ANALYZE`, `sys.jobs` and the metrics series all say so.
+#[test]
+fn examined_candidates_say_which_reducer_path_ran() {
+    let engine = seeded_engine(8);
+    let explain = |sql: &str| {
+        engine
+            .explain_sql(
+                "examined",
+                &format!("EXPLAIN ANALYZE {sql}"),
+                &RunOptions::default(),
+            )
+            .unwrap()
+    };
+    let band = explain(
+        "SELECT x.a, z.b FROM r x, s y, t z \
+         WHERE x.a <= y.a AND y.a <= x.a + 1 AND y.b <= z.b AND z.b <= y.b + 1",
+    );
+    let ne = explain("SELECT x.a, z.b FROM r x, s y, t z WHERE x.a <> y.a AND y.b <> z.b");
+    let counts = |report: &mwtj_core::ExplainReport| {
+        let run = report.analyzed.as_ref().unwrap();
+        assert_eq!(run.jobs.len(), 1, "a single chain job: {}", run.plan);
+        let job = &run.jobs[0];
+        let examined = job.reduce_examined.expect("chain jobs count their visits");
+        let line = format!("candidates={} examined={examined}", job.reduce_candidates);
+        let text = report.render();
+        assert!(text.contains(&line), "no `{line}` in\n{text}");
+        (job.reduce_candidates, examined)
+    };
+    let (band_priced, band_examined) = counts(&band);
+    assert!(
+        band_examined * 2 < band_priced,
+        "tight band examined {band_examined} of {band_priced}"
+    );
+    let (ne_priced, ne_examined) = counts(&ne);
+    assert_eq!(ne_examined, ne_priced, "`<>` bounds no key");
+
+    // The series is the sum; `sys.jobs` carries both columns per job.
+    let text = engine.metrics().render_text();
+    assert_eq!(
+        scraped(&text, "mwtj_reduce_examined_total"),
+        (band_examined + ne_examined) as f64
+    );
+    let sys = engine
+        .run_sql(
+            "SELECT j.candidates, j.examined FROM sys.jobs j, sys.queries q \
+             WHERE j.trace_id = q.trace_id",
+        )
+        .unwrap();
+    let mut rows: Vec<(i64, i64)> = sys
+        .output
+        .rows()
+        .iter()
+        .map(|t| {
+            (
+                t.values()[0].as_int().unwrap(),
+                t.values()[1].as_int().unwrap(),
+            )
+        })
+        .collect();
+    rows.sort_unstable();
+    let mut want = [
+        (band_priced as i64, band_examined as i64),
+        (ne_priced as i64, ne_examined as i64),
+    ];
+    want.sort_unstable();
+    assert_eq!(rows, want);
 }
 
 proptest! {

@@ -7,19 +7,27 @@
 //! * the compiled nested loop ([`PairKernel::compile_nested`]), and
 //! * the single-threaded query [`oracle_join`].
 //!
+//! The chain reducer has its own differential target at the bottom:
+//! [`ChainThetaJob`]'s key-range descent against the scan it replaced
+//! (`reduce_scan_reference`) — rows, row **order** and the priced
+//! candidate count, per reduce component.
+//!
 //! Instances randomise the schemas (arity and per-column types over
 //! Int/Double/Str), the predicates (`<`, `<=`, `=`, `!=`, and the
 //! flipped forms), NULL density, and the data distribution (skewed
 //! toward small keys so hash buckets and band runs both see heavy
 //! duplication).
 
+use mwtj_hilbert::PartitionStrategy;
 use mwtj_join::kernel::{KernelKind, PairKernel};
 use mwtj_join::oracle::{canonicalize, oracle_join};
-use mwtj_join::IntermediateShape;
-use mwtj_query::theta::CompiledPredicate;
+use mwtj_join::{ChainThetaJob, IntermediateShape};
+use mwtj_mapreduce::{MrJob, TaggedRecord};
+use mwtj_query::theta::{ColExpr, CompiledPredicate};
 use mwtj_query::{MultiwayQuery, QueryBuilder, ThetaOp};
 use mwtj_storage::{DataType, Relation, Schema, Tuple, Value};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Skew a raw draw toward 0: min of two 0..16 digits — collisions and
 /// long equal-key runs are the interesting regime for hash and band.
@@ -198,5 +206,176 @@ proptest! {
         let q = qb.build().unwrap();
         let kind = check_agreement(&q, &l, &r);
         prop_assert_eq!(kind, KernelKind::Hash);
+    }
+}
+
+/// A value for the chain differential: every class the key-range index
+/// has to order or set aside. Columns are deliberately *not* typed —
+/// integers beyond ±2⁵³ sit next to the doubles they collide with under
+/// the f64 view, strings next to numbers. `mode` is the column's
+/// flavour: 0 spreads numbers over a wide domain (narrow ranges, so the
+/// index is what runs), 1 adds a minority of strings to that (few
+/// enough for the always-examined tail to stay under the scan
+/// fallback's threshold), 2 is all special values.
+fn chain_value(raw: u64, mode: u64) -> Value {
+    const BIG: i64 = 1 << 53;
+    const WORDS: [&str; 6] = ["a", "ab", "b", "ba", "c", "ca"];
+    let small = ((raw >> 8) % 6) as i64;
+    let wide = ((raw >> 8) % 48) as i64;
+    let special = match raw % 11 {
+        0 => Value::Null,
+        1 => Value::Double(f64::NAN),
+        10 => Value::Double(-f64::NAN),
+        2 => Value::Double(-0.0),
+        3 => Value::Double(0.0),
+        4 => Value::Int(BIG + small),
+        5 => Value::Int(-BIG - small),
+        6 => Value::Double((BIG + 2 * (small / 2)) as f64),
+        7 => Value::Double(f64::INFINITY),
+        8 => Value::from(WORDS[small as usize]),
+        _ => Value::Int(small - 1),
+    };
+    match (mode, (raw >> 32) % 8) {
+        (2, _) | (_, 0) => special,
+        (1, 1) => Value::from(WORDS[small as usize]),
+        (_, 1..=2) => Value::Double(wide as f64 * 0.5 - 4.0),
+        _ => Value::Int(wide - 8),
+    }
+}
+
+/// Offsets for either side of a predicate: mostly none, some finite,
+/// now and then a non-finite one (which the index must refuse).
+fn chain_offset(raw: u64) -> f64 {
+    match raw % 12 {
+        0..=5 => 0.0,
+        6 => 2.0,
+        7 => -1.5,
+        8 => 0.5,
+        9 => 1.0,
+        10 => -0.0,
+        _ => f64::INFINITY,
+    }
+}
+
+/// One component's reduce through both descents.
+fn assert_range_equals_scan(
+    job: &ChainThetaJob,
+    groups: &BTreeMap<u64, Vec<TaggedRecord>>,
+    context: &dyn Fn() -> String,
+) {
+    for (key, records) in groups {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let priced = job.reduce(*key, records, &mut got);
+        let scanned = job.reduce_scan_reference(*key, records, &mut want);
+        // Compared as text: `Value` equality goes through the f64 view
+        // and would take `Int(2⁵³ + 1)` for `Double(2⁵³)`.
+        let (got, want) = (format!("{got:?}"), format!("{want:?}"));
+        assert!(
+            got == want,
+            "rows or row order differ in component {key}\n range: {got}\n scan:  {want}\n{}",
+            context()
+        );
+        assert_eq!(
+            priced,
+            scanned,
+            "priced count differs in component {key}\n{}",
+            context()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// 2–4-dimension chains over untyped data, every predicate shape the
+    /// index distinguishes, under every partitioning the suite uses:
+    /// the key-range descent returns the scan's rows, in the scan's
+    /// order, and prices the scan's work.
+    #[test]
+    fn chain_range_descent_equals_scan_reference(
+        ndims in 2usize..5,
+        raws in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(any::<u64>(), 2), 0..40), 4),
+        modes in prop::collection::vec(prop::collection::vec(0u64..3, 2), 4),
+        picks in prop::collection::vec(any::<u64>(), 64),
+    ) {
+        let mut picks = picks.into_iter();
+        let mut pick = move |n: u64| picks.next().expect("enough picks") % n;
+        let names = ["r", "s", "t", "u"];
+        let rels: Vec<Vec<Tuple>> = raws[..ndims]
+            .iter()
+            .zip(&modes)
+            .map(|(rows, modes)| {
+                rows.iter()
+                    .map(|r| Tuple::new(r.iter().zip(modes).map(|(&v, &m)| chain_value(v, m)).collect()))
+                    .collect()
+            })
+            .collect();
+        let mut qb = QueryBuilder::new("chain");
+        for name in &names[..ndims] {
+            qb = qb.relation(Schema::from_pairs(
+                *name,
+                &[("c0", DataType::Double), ("c1", DataType::Double)],
+            ));
+        }
+        // A random spanning tree over the dimensions, so a depth may
+        // have no predicate against an earlier one (`r–t, s–t`).
+        let mut order: Vec<usize> = (0..ndims).collect();
+        for i in (1..ndims).rev() {
+            order.swap(i, pick(i as u64 + 1) as usize);
+        }
+        for i in 1..ndims {
+            let (u, v) = (order[pick(i as u64) as usize], order[i]);
+            let expr = |rel: usize, c: u64, off: f64| {
+                ColExpr::col_plus(names[rel], format!("c{}", c % 2), off)
+            };
+            let (cu, cv) = (pick(2), pick(2));
+            let (ou, ov) = (chain_offset(pick(12)), chain_offset(pick(12)));
+            match pick(6) {
+                0 => qb = qb.join_expr(expr(u, cu, ou), ThetaOp::Eq, expr(v, cv, ov)),
+                1 => qb = qb.join_expr(expr(u, cu, ou), ThetaOp::Ne, expr(v, cv, ov)),
+                2 => {
+                    let op = [ThetaOp::Lt, ThetaOp::Le, ThetaOp::Ge, ThetaOp::Gt][pick(4) as usize];
+                    qb = qb.join_expr(expr(u, cu, ou), op, expr(v, cv, ov));
+                }
+                3 => {
+                    // The benchmark's band: `u <= v AND v <= u + w`.
+                    qb = qb
+                        .join_expr(expr(u, cu, 0.0), ThetaOp::Le, expr(v, cv, 0.0))
+                        .and_expr(expr(v, cv, 0.0), ThetaOp::Le, expr(u, cu, 1.0 + ou.abs()));
+                }
+                4 => {
+                    // A band with the offset on the other side, strict.
+                    qb = qb
+                        .join_expr(expr(v, cv, ov), ThetaOp::Gt, expr(u, cu, -1.0))
+                        .and_expr(expr(u, cu, 2.0), ThetaOp::Gt, expr(v, cv, ov));
+                }
+                _ => {
+                    // Two unrelated predicates on one edge.
+                    qb = qb
+                        .join_expr(expr(u, cu, ou), ThetaOp::Le, expr(v, cv, 0.0))
+                        .and_expr(expr(u, 1 - cu, 0.0), ThetaOp::Ne, expr(v, 1 - cv, ov));
+                }
+            }
+        }
+        let q = qb.build().expect("generated query builds");
+        let edges: Vec<usize> = (0..q.num_conditions()).collect();
+        let cards: Vec<u64> = rels.iter().map(|r| r.len() as u64).collect();
+        for strategy in [PartitionStrategy::Hilbert, PartitionStrategy::Grid] {
+            for k_r in [1u32, 4, 9] {
+                let job = ChainThetaJob::new(&q, &edges, &cards, k_r, strategy);
+                let mut groups: BTreeMap<u64, Vec<TaggedRecord>> = BTreeMap::new();
+                for (dim, &rel) in job.dims().iter().enumerate() {
+                    for (i, row) in rels[rel].iter().enumerate() {
+                        job.map(dim as u8, row, 0xC0FFEE ^ dim as u64, i, &mut |key, rec| {
+                            groups.entry(key).or_default().push(rec)
+                        });
+                    }
+                }
+                assert_range_equals_scan(&job, &groups, &|| {
+                    format!("query: {q}\nk_r={k_r} strategy={strategy:?}\ndata: {rels:#?}")
+                });
+            }
+        }
     }
 }

@@ -508,6 +508,7 @@ impl Engine {
         // to the sink as produced — the ordered-delivery requirement is
         // what serialises them; the simulated clock never sees host
         // parallelism either way).
+        let examined_before = job.reduce_examined();
         let reduce_outs: Vec<ReduceTaskOut> = if let Some(spec) = sink {
             self.reduce_streamed_phase(job, reducer_inputs, reducers, spec, faults, cancel)?
         } else {
@@ -583,6 +584,10 @@ impl Engine {
             reduce_input_max_bytes: reduce_input_max,
             reduce_input_mean_bytes: reduce_input_sum as f64 / n_red as f64,
             reduce_candidates,
+            reduce_examined: job
+                .reduce_examined()
+                .zip(examined_before)
+                .map(|(after, before)| after - before),
             output_bytes,
             output_records,
             sim_map_end_secs: sim_map_end,

@@ -150,13 +150,26 @@ pub trait MrJob: Sync {
     /// the engine's sort-merge grouping is stable, and downstream
     /// byte-accounting determinism relies on it.
     ///
-    /// Returns the number of candidate combinations the reducer
-    /// *actually examined* — the engine charges
-    /// `cpu_per_candidate_secs` per unit on the simulated clock, so
-    /// jobs that prune early (the chain join's depth-wise predicate
-    /// pruning) are priced by their real work, not the raw cross
-    /// product.
+    /// Returns the group's **priced** candidate count: the number of
+    /// candidate combinations the textbook reducer would examine — for
+    /// the chain join its depth-wise nested loop with early predicate
+    /// pruning, for a pair join `|L|·|R|`. The engine charges
+    /// `cpu_per_candidate_secs` per unit on the simulated clock, so the
+    /// count must not depend on how the host finds the matches (hash,
+    /// band and key-range kernels visit far fewer). What the host
+    /// really visited is [`MrJob::reduce_examined`].
     fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64;
+
+    /// Running total of the candidates this job's `reduce` /
+    /// `reduce_streamed` calls have really visited on the host, calls
+    /// of attempts that were later retried included — the engine
+    /// reports the growth across one run as
+    /// [`JobMetrics::reduce_examined`](crate::JobMetrics::reduce_examined).
+    /// Host-side observation only: nothing prices it. `None` (the
+    /// default) for jobs that do not count their visits.
+    fn reduce_examined(&self) -> Option<u64> {
+        None
+    }
 
     /// Compile a data-skipping filter for this run's input blocks, or
     /// `None` when the job cannot prune (no compiled predicates, or

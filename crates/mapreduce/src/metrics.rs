@@ -38,8 +38,15 @@ pub struct JobMetrics {
     pub reduce_input_max_bytes: u64,
     /// Mean reduce task input in bytes.
     pub reduce_input_mean_bytes: f64,
-    /// Total candidate combinations checked by reducers (CPU work).
+    /// Total *priced* candidate combinations: what the textbook
+    /// reducers would check — the CPU work the simulated clock charges.
     pub reduce_candidates: u64,
+    /// Candidates the host really visited to produce the same rows,
+    /// retried attempts included; below `reduce_candidates` when a
+    /// kernel skipped work the simulated clock still prices. `None`
+    /// when the job does not count its visits
+    /// ([`MrJob::reduce_examined`](crate::MrJob::reduce_examined)).
+    pub reduce_examined: Option<u64>,
     /// Total output bytes.
     pub output_bytes: u64,
     /// Total output records.

@@ -86,6 +86,10 @@ pub struct JobRecord {
     pub output_records: u64,
     /// Shuffle (map-output) bytes.
     pub shuffle_bytes: u64,
+    /// Priced reduce candidates (what the simulated clock charges).
+    pub candidates: u64,
+    /// Candidates the host really visited, where the job counts them.
+    pub examined: Option<u64>,
     /// Simulated makespan of the job, seconds.
     pub sim_secs: f64,
     /// Host wall-clock seconds spent executing.

@@ -6,7 +6,7 @@
 //! the admission ticket and leave the DFS and catalog at their
 //! baseline; and a live stream keeps the data it bound across a reload.
 
-use mwtj_core::{assert_quiescent, Engine, Method, RunOptions, StreamOptions};
+use mwtj_core::{assert_quiescent, Engine, Method, Outcome, RunOptions, StreamOptions};
 use mwtj_hilbert::PartitionStrategy;
 use mwtj_query::{MultiwayQuery, QueryBuilder, ThetaOp};
 use mwtj_storage::{tuple, DataType, Relation, Schema};
@@ -243,6 +243,11 @@ fn drop_mid_stream_releases_ticket_and_cleans_up() {
     assert!(stream.next_batch().unwrap().is_some(), "first batch");
     drop(stream); // joins the worker — cancellation is deterministic
     assert_quiescent(&engine, &baseline);
+    // It was a kill, not a run that had already finished: the depth-1
+    // channel held the reducer back with ~20 000 rows still to emit,
+    // however fast it finds them.
+    let flights = engine.flight_recorder().all();
+    assert_eq!(flights.last().map(|f| f.outcome), Some(Outcome::Cancelled));
     // The engine still serves queries normally afterwards.
     let again = engine.run_sql(sql).unwrap();
     assert!(!again.output.is_empty());
