@@ -13,7 +13,9 @@
 //!   registry fills from real runs.
 //! * `examined` says which reducer path ran: below the priced
 //!   `candidates` on a tight band chain, equal to it on a `<>`-only
-//!   chain — in `EXPLAIN ANALYZE`, `sys.jobs` and the metrics series.
+//!   chain, above it on a hash join whose one-key groups emit every pair
+//!   they price — in `EXPLAIN ANALYZE`, `sys.jobs` and the metrics
+//!   series.
 //! * Every counter has one home, so the doors agree: `stats_snapshot`
 //!   (the `stats`/`status` replies), the `metrics` exposition and
 //!   `sys.metrics`/`sys.scheduler` report the same values after any
@@ -611,9 +613,10 @@ fn profile_leaves_cover_the_wall_time() {
     assert!((phases - job.real_secs).abs() < 1e-9);
 }
 
-/// Priced vs examined: the chain reducer's key-range descent visits a
-/// fraction of what the simulated clock charges on a tight band, and
-/// exactly what it charges where no predicate bounds a key (`<>`).
+/// Priced vs examined: the reduce-side descent visits a fraction of
+/// what the simulated clock charges on a tight band chain, exactly what
+/// it charges where no predicate bounds a key (`<>`), and on a pair
+/// job's hash path the output it emits on top of the pairs it prices.
 /// `EXPLAIN ANALYZE`, `sys.jobs` and the metrics series all say so.
 #[test]
 fn examined_candidates_say_which_reducer_path_ran() {
@@ -632,11 +635,12 @@ fn examined_candidates_say_which_reducer_path_ran() {
          WHERE x.a <= y.a AND y.a <= x.a + 1 AND y.b <= z.b AND z.b <= y.b + 1",
     );
     let ne = explain("SELECT x.a, z.b FROM r x, s y, t z WHERE x.a <> y.a AND y.b <> z.b");
+    let eq = explain("SELECT x.a, y.b FROM r x, s y WHERE x.a = y.a");
     let counts = |report: &mwtj_core::ExplainReport| {
         let run = report.analyzed.as_ref().unwrap();
-        assert_eq!(run.jobs.len(), 1, "a single chain job: {}", run.plan);
+        assert_eq!(run.jobs.len(), 1, "a single job: {}", run.plan);
         let job = &run.jobs[0];
-        let examined = job.reduce_examined.expect("chain jobs count their visits");
+        let examined = job.reduce_examined.expect("join jobs count their visits");
         let line = format!("candidates={} examined={examined}", job.reduce_candidates);
         let text = report.render();
         assert!(text.contains(&line), "no `{line}` in\n{text}");
@@ -649,12 +653,23 @@ fn examined_candidates_say_which_reducer_path_ran() {
     );
     let (ne_priced, ne_examined) = counts(&ne);
     assert_eq!(ne_examined, ne_priced, "`<>` bounds no key");
+    // A hash job's reduce groups hold one key each, so every pair a
+    // group prices is an output pair: its hash index tries each once,
+    // and the count adds the left rows walked and the pairs emitted.
+    assert!(eq.analyzed.as_ref().unwrap().jobs[0]
+        .name
+        .starts_with("equi["));
+    let (eq_priced, eq_examined) = counts(&eq);
+    assert!(
+        eq_examined > 2 * eq_priced,
+        "hash index examined {eq_examined} of {eq_priced}"
+    );
 
     // The series is the sum; `sys.jobs` carries both columns per job.
     let text = engine.metrics().render_text();
     assert_eq!(
         scraped(&text, "mwtj_reduce_examined_total"),
-        (band_examined + ne_examined) as f64
+        (band_examined + ne_examined + eq_examined) as f64
     );
     let sys = engine
         .run_sql(
@@ -677,6 +692,7 @@ fn examined_candidates_say_which_reducer_path_ran() {
     let mut want = [
         (band_priced as i64, band_examined as i64),
         (ne_priced as i64, ne_examined as i64),
+        (eq_priced as i64, eq_examined as i64),
     ];
     want.sort_unstable();
     assert_eq!(rows, want);

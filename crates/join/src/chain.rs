@@ -17,18 +17,12 @@
 //!    *owned* by this component — the ownership test is what makes the
 //!    output exact despite tuples being replicated to many components.
 //!
-//!    The descent does not scan the cross product. For each depth whose
-//!    predicates bound one of its columns by an already-bound slot
-//!    (`=`, then a two-sided band, then a one-sided bound — see
-//!    `DepthBound`), the group's numeric keys are sorted once per
-//!    reduce call and every prefix binary-searches the non-strict range
-//!    its bounds allow. The range is only a *superset filter*: every
-//!    row in it still runs through all of the depth's predicates, and
-//!    the hits are visited in group order, so rows and row order are
-//!    those of the plain nested loop. Depths without such a bound
-//!    (depth 0, `<>`-only, no predicate against an earlier dimension)
-//!    and prefixes whose range covers most of the group walk the whole
-//!    group through the same loop.
+//!    The descent is the shared reduce-side core (`descent`): each
+//!    depth finds the rows a prefix may join through a hash index, a
+//!    sorted key range or a walk, and every candidate still runs
+//!    through all of the depth's predicates, so rows and row order are
+//!    those of the plain nested loop. This job supplies only the leaf
+//!    (ownership, then `Tuple::concat_all`) and its priced formula.
 //!
 //!    Two counts come out of it. The **priced** count — what
 //!    [`MrJob::reduce`] returns and Eq. 2–4 charge — is the work of the
@@ -38,163 +32,15 @@
 //!    The **examined** count ([`MrJob::reduce_examined`]) is what the
 //!    host really visited.
 
-use crate::kernel::StackPred;
+use crate::descent::{Descent, Visit};
 use crate::shape::IntermediateShape;
 use crate::skip::ChainSkipFilter;
 use mwtj_hilbert::{PartitionStrategy, SpacePartition};
 use mwtj_mapreduce::{Emit, MrJob, SkipFilter, TagZones, TaggedRecord};
 use mwtj_query::theta::CompiledPredicate;
-use mwtj_query::{MultiwayQuery, ThetaOp};
+use mwtj_query::MultiwayQuery;
 use mwtj_storage::{Schema, Tuple};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A prefix whose key range holds more than `1 / SCAN_FRACTION` of the
-/// group walks the whole group instead: past that, gathering and
-/// re-ordering the hits costs more than the predicate calls it saves.
-const SCAN_FRACTION: usize = 4;
-
-/// One end of a depth's key range: `column + off` of an earlier slot.
-#[derive(Debug, Clone, Copy)]
-struct BoundSrc {
-    slot: usize,
-    col: usize,
-    off: f64,
-}
-
-impl BoundSrc {
-    /// The bound a prefix puts on the key — numeric view plus offset,
-    /// as `eval_theta` forms it — or `None` when it cannot be ordered
-    /// against the sorted keys (NULL, string or NaN).
-    fn key(&self, stack: &[&Tuple]) -> Option<f64> {
-        let k = stack[self.slot].get(self.col).as_numeric()? + self.off;
-        (!k.is_nan()).then_some(k)
-    }
-}
-
-/// The predicates of one depth that bound `own_col + own_off` of that
-/// depth's rows by values the prefix has already bound: `lo <= key`
-/// and/or `key <= hi` (an equality sets both to the same source).
-/// Keys and bounds are formed as `eval_theta` forms its operands
-/// (numeric view plus offset) and compared with `<` over non-NaN
-/// values — `total_cmp`'s order except that it takes `-0.0` for `+0.0`,
-/// and the f64 view of two integers keeps their order non-strictly.
-/// With strict operators widened to their non-strict closure, that
-/// makes the range a superset of what the predicates accept, whether
-/// they compare through `sql_cmp` (zero offsets) or arithmetically.
-#[derive(Debug, Clone)]
-struct DepthBound {
-    own_col: usize,
-    own_off: f64,
-    lo: Option<BoundSrc>,
-    hi: Option<BoundSrc>,
-}
-
-impl DepthBound {
-    /// Pick the bound for `depth` among `preds` (slot-indexed): an
-    /// equality if there is one, else a column bounded on both sides,
-    /// else a one-sided bound; the first in predicate order on ties.
-    fn choose(depth: usize, preds: &[&CompiledPredicate]) -> Option<DepthBound> {
-        let mut eq: Option<DepthBound> = None;
-        let mut bands: Vec<DepthBound> = Vec::new();
-        for p in preds {
-            // Orient as `own op bound`.
-            let left = (p.left_rel, p.left_col, p.left_off);
-            let right = (p.right_rel, p.right_col, p.right_off);
-            let ((_, own_col, own_off), (slot, col, off), op) = if p.right_rel == depth {
-                (right, left, p.op.flip())
-            } else {
-                (left, right, p.op)
-            };
-            let src = BoundSrc { slot, col, off };
-            if src.slot >= depth
-                || op == ThetaOp::Ne
-                || !own_off.is_finite()
-                || !src.off.is_finite()
-            {
-                continue;
-            }
-            if op == ThetaOp::Eq {
-                eq.get_or_insert(DepthBound {
-                    own_col,
-                    own_off,
-                    lo: Some(src),
-                    hi: Some(src),
-                });
-                continue;
-            }
-            let at = bands
-                .iter()
-                .position(|b| b.own_col == own_col && b.own_off == own_off)
-                .unwrap_or_else(|| {
-                    bands.push(DepthBound {
-                        own_col,
-                        own_off,
-                        lo: None,
-                        hi: None,
-                    });
-                    bands.len() - 1
-                });
-            let end = match op {
-                ThetaOp::Lt | ThetaOp::Le => &mut bands[at].hi,
-                _ => &mut bands[at].lo,
-            };
-            end.get_or_insert(src);
-        }
-        eq.or_else(|| {
-            let two_sided = bands.iter().position(|b| b.lo.is_some() && b.hi.is_some());
-            (!bands.is_empty()).then(|| bands.swap_remove(two_sided.unwrap_or(0)))
-        })
-    }
-
-    /// Index one group: `(key, position)` of every row with a numeric
-    /// key, sorted by key; NaN keys, which `<` cannot place, go on a
-    /// tail examined for every prefix. NULL and string keys are left
-    /// out: NULL satisfies no predicate, and a string only one whose
-    /// other side is a string too — a prefix [`ChainThetaJob::hits`]
-    /// answers with the whole group, not with this index.
-    fn index(&self, group: &[(u64, &Tuple)]) -> DepthIndex {
-        let n = u32::try_from(group.len()).expect("a reduce group holds fewer than 2^32 rows");
-        let mut sorted = Vec::with_capacity(group.len());
-        let mut tail = Vec::new();
-        for pos in 0..n {
-            let Some(v) = group[pos as usize].1.get(self.own_col).as_numeric() else {
-                continue;
-            };
-            let key = v + self.own_off;
-            if key.is_nan() {
-                tail.push(pos);
-            } else {
-                sorted.push((key, pos));
-            }
-        }
-        sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        DepthIndex { sorted, tail }
-    }
-}
-
-/// One group's sort on its [`DepthBound`] key, built per reduce call.
-struct DepthIndex {
-    /// `(key, position in the group)`, ascending by key; no key is NaN.
-    sorted: Vec<(f64, u32)>,
-    /// Positions examined whatever the range, ascending.
-    tail: Vec<u32>,
-}
-
-/// The mutable state of one reduce call's descent.
-struct Descent<'a, 'e> {
-    my_component: u32,
-    groups: &'a [Vec<(u64, &'a Tuple)>],
-    /// Per depth, the group's index where the depth has a bound.
-    indexes: Vec<Option<DepthIndex>>,
-    /// Per depth, the hit-position buffer its prefixes reuse.
-    hits: Vec<Vec<u32>>,
-    stack: Vec<&'a Tuple>,
-    stripes: Vec<u64>,
-    emit: &'e mut dyn FnMut(Tuple) -> bool,
-    stop: bool,
-    /// Rows and full combinations really visited.
-    examined: u64,
-}
 
 /// The chain theta-join job.
 pub struct ChainThetaJob {
@@ -206,19 +52,10 @@ pub struct ChainThetaJob {
     cardinalities: Vec<u64>,
     partition: SpacePartition,
     /// Predicates of all covered conditions, relation indices remapped
-    /// to *dimension* positions and compiled to stack evaluators with
-    /// pre-selected operator functions ([`StackPred`]).
-    preds: Vec<StackPred>,
-    /// The same dimension-remapped predicates in compiled (column/
-    /// offset/op) form — what the zone-map skip filter evaluates
-    /// against block ranges.
-    zone_preds: Vec<CompiledPredicate>,
-    /// For each dimension depth, the predicates that become checkable
-    /// once that dimension is bound.
-    preds_by_depth: Vec<Vec<usize>>,
-    /// For each dimension depth, the key range its predicates allow a
-    /// prefix to narrow the group to, where there is one.
-    bounds: Vec<Option<DepthBound>>,
+    /// to *dimension* positions — what the descent compiles and the
+    /// zone-map skip filter evaluates against block ranges.
+    preds: Vec<CompiledPredicate>,
+    descent: Descent,
     out_shape: IntermediateShape,
     /// Candidates really visited by every reduce call so far (a
     /// statistic: publishes nothing, hence `Relaxed`).
@@ -262,32 +99,16 @@ impl ChainThetaJob {
             dims.binary_search(&rel)
                 .expect("predicate relation must be a chain dimension")
         };
-        let mut preds = Vec::new();
-        let mut zone_preds = Vec::new();
-        for &e in edges {
-            for p in &compiled.per_condition[e] {
-                let remapped = CompiledPredicate {
-                    left_rel: to_dim(p.left_rel),
-                    right_rel: to_dim(p.right_rel),
-                    ..*p
-                };
-                preds.push(StackPred::from_compiled(&remapped));
-                zone_preds.push(remapped);
-            }
-        }
-        let mut preds_by_depth = vec![Vec::new(); dims.len()];
-        for (pi, p) in preds.iter().enumerate() {
-            preds_by_depth[p.depth()].push(pi);
-        }
-        let bounds = preds_by_depth
+        let preds: Vec<CompiledPredicate> = edges
             .iter()
-            .enumerate()
-            .map(|(depth, at_depth)| {
-                let at_depth: Vec<&CompiledPredicate> =
-                    at_depth.iter().map(|&pi| &zone_preds[pi]).collect();
-                DepthBound::choose(depth, &at_depth)
+            .flat_map(|&e| &compiled.per_condition[e])
+            .map(|p| CompiledPredicate {
+                left_rel: to_dim(p.left_rel),
+                right_rel: to_dim(p.right_rel),
+                ..*p
             })
             .collect();
+        let descent = Descent::new(dims.len(), &preds, Vec::new());
         let out_shape = IntermediateShape::of(query, &dims);
         let name = format!(
             "chain[{}]",
@@ -303,9 +124,7 @@ impl ChainThetaJob {
             cardinalities: dim_cards,
             partition,
             preds,
-            zone_preds,
-            preds_by_depth,
-            bounds,
+            descent,
             out_shape,
             examined: AtomicU64::new(0),
         }
@@ -344,140 +163,77 @@ impl ChainThetaJob {
         z % card.max(1)
     }
 
-    /// Extend the bound prefix `cx.stack` by every row of the next
-    /// group that its predicates accept, depth first in group order;
-    /// owned, predicate-satisfying combinations go through `cx.emit`
-    /// one at a time (the visitor path streamed reducers use — the
-    /// buffered [`MrJob::reduce`] path passes a vector-push closure).
-    /// When `emit` returns `false` the receiver is gone: `stop` is
-    /// raised and the descent unwinds promptly.
-    ///
-    /// Returns the **priced** work below this prefix: the group's size
-    /// (the nested loop would try each of its rows) plus the priced
-    /// work under every surviving row, and 1 for a full combination.
-    /// Which rows are really visited — `cx.examined` — is up to
-    /// [`ChainThetaJob::hits`].
-    fn descend(&self, cx: &mut Descent<'_, '_>) -> u64 {
-        let depth = cx.stack.len();
-        let groups = cx.groups;
-        if depth == groups.len() {
-            cx.examined += 1;
-            // Ownership test: exactly one component owns this cell.
-            if self.partition.owner_of_cell(&cx.stripes) == cx.my_component
-                && !(cx.emit)(Tuple::concat_all(&cx.stack))
-            {
-                cx.stop = true;
-            }
-            return 1;
-        }
-        let group = &groups[depth];
-        let mut work = group.len() as u64;
-        let mut hits = std::mem::take(&mut cx.hits[depth]);
-        let ranged = self.hits(cx, depth, &mut hits);
-        let visits = if ranged { hits.len() } else { group.len() };
-        'rows: for i in 0..visits {
-            if cx.stop {
-                break;
-            }
-            let (gid, tuple) = group[if ranged { hits[i] as usize } else { i }];
-            cx.examined += 1;
-            cx.stack.push(tuple);
-            for &pi in &self.preds_by_depth[depth] {
-                if !self.preds[pi].holds(&cx.stack) {
-                    cx.stack.pop();
-                    continue 'rows;
-                }
-            }
-            cx.stripes.push(self.partition.stripe_of(depth, gid));
-            work = work.saturating_add(self.descend(cx));
-            cx.stripes.pop();
-            cx.stack.pop();
-        }
-        cx.hits[depth] = hits;
-        work
-    }
-
-    /// Fill `hits` with the positions of `groups[depth]` the prefix's
-    /// key range allows (plus the always-examined tail), ascending — a
-    /// superset of the rows the depth's predicates accept. Returns
-    /// `false`, leaving `hits` unspecified, when the whole group must
-    /// be walked instead: the depth has no bound, the prefix's bound
-    /// cannot be ordered, or the range is too wide to be worth it.
-    fn hits(&self, cx: &Descent<'_, '_>, depth: usize, hits: &mut Vec<u32>) -> bool {
-        let (Some(bound), Some(index)) = (&self.bounds[depth], &cx.indexes[depth]) else {
-            return false;
-        };
-        let sorted = &index.sorted;
-        let from = match bound.lo.map(|src| src.key(&cx.stack)) {
-            None => 0,
-            Some(Some(lo)) => sorted.partition_point(|&(k, _)| k < lo),
-            Some(None) => return false,
-        };
-        let to = match bound.hi.map(|src| src.key(&cx.stack)) {
-            None => sorted.len(),
-            Some(Some(hi)) => sorted.partition_point(|&(k, _)| k <= hi),
-            Some(None) => return false,
-        };
-        let in_range = &sorted[from.min(to)..to];
-        if (in_range.len() + index.tail.len()) * SCAN_FRACTION > cx.groups[depth].len() {
-            return false;
-        }
-        hits.clear();
-        hits.extend(in_range.iter().map(|&(_, pos)| pos));
-        hits.extend_from_slice(&index.tail);
-        hits.sort_unstable();
-        true
-    }
-
-    /// Bucket one component's records per dimension, in arrival order.
-    /// `None` when some dimension contributed nothing to this cell
-    /// region.
-    fn groups<'a>(&self, records: &'a [TaggedRecord]) -> Option<Vec<Vec<(u64, &'a Tuple)>>> {
-        let mut groups: Vec<Vec<(u64, &Tuple)>> = vec![Vec::new(); self.dims.len()];
+    /// Shared reduce body: bucket the records per dimension, in arrival
+    /// order and with each row's stripe, and run the descent — or, for
+    /// the reference, its whole-group scan — handing the combinations
+    /// whose cell this component owns to `emit`, one at a time. Returns
+    /// what the descent saw and the group sizes; `None` when some
+    /// dimension contributed nothing to this cell region.
+    fn descend(
+        &self,
+        key: u64,
+        records: &[TaggedRecord],
+        scan: bool,
+        emit: &mut dyn FnMut(Tuple) -> bool,
+    ) -> Option<(Visit, Vec<u64>)> {
+        let mut rows: Vec<Vec<&Tuple>> = vec![Vec::new(); self.dims.len()];
+        let mut stripes: Vec<Vec<u64>> = vec![Vec::new(); self.dims.len()];
         for rec in records {
-            groups[rec.tag as usize].push((rec.aux, &rec.tuple));
+            let dim = rec.tag as usize;
+            rows[dim].push(&rec.tuple);
+            stripes[dim].push(self.partition.stripe_of(dim, rec.aux));
         }
-        groups.iter().all(|g| !g.is_empty()).then_some(groups)
+        if rows.iter().any(Vec::is_empty) {
+            return None;
+        }
+        let groups: Vec<&[&Tuple]> = rows.iter().map(Vec::as_slice).collect();
+        let mut cell = vec![0u64; groups.len()];
+        let leaf = &mut |stack: &[&Tuple], at: &[u32]| {
+            for ((c, s), &pos) in cell.iter_mut().zip(&stripes).zip(at) {
+                *c = s[pos as usize];
+            }
+            // Ownership test: exactly one component owns this cell.
+            self.partition.owner_of_cell(&cell) != key as u32 || emit(Tuple::concat_all(stack))
+        };
+        let visit = if scan {
+            self.descent.run_scan(&groups, leaf)
+        } else {
+            self.descent.run(&groups, leaf)
+        };
+        Some((visit, groups.iter().map(|g| g.len() as u64).collect()))
     }
 
-    /// Shared reduce body: bucket records per dimension, index the
-    /// bounded depths and descend.
+    /// The reduce body: descend, count what was examined, and return the
+    /// priced work of the textbook nested loop — `|G_0|`, plus
+    /// `|G_{d+1}|` for every row that survives depth `d`, plus one per
+    /// full combination.
     fn reduce_inner(
         &self,
         key: u64,
         records: &[TaggedRecord],
         emit: &mut dyn FnMut(Tuple) -> bool,
     ) -> u64 {
-        let Some(groups) = self.groups(records) else {
+        let Some((visit, sizes)) = self.descend(key, records, false, emit) else {
             return 0;
         };
-        let indexes = self
-            .bounds
+        self.examined.fetch_add(visit.examined, Ordering::Relaxed);
+        let (&last, survivors) = visit
+            .survivors
+            .split_last()
+            .expect("a chain has dimensions");
+        survivors
             .iter()
-            .zip(&groups)
-            .map(|(bound, group)| bound.as_ref().map(|b| b.index(group)))
-            .collect();
-        let mut cx = Descent {
-            my_component: key as u32,
-            groups: &groups,
-            indexes,
-            hits: vec![Vec::new(); self.dims.len()],
-            stack: Vec::with_capacity(self.dims.len()),
-            stripes: Vec::with_capacity(self.dims.len()),
-            emit,
-            stop: false,
-            examined: 0,
-        };
-        let work = self.descend(&mut cx);
-        self.examined.fetch_add(cx.examined, Ordering::Relaxed);
-        work
+            .zip(&sizes[1..])
+            .fold(sizes[0].saturating_add(last), |work, (&s, &g)| {
+                work.saturating_add(s.saturating_mul(g))
+            })
     }
 
-    /// The reducer as it was before the key-range descent: every prefix
-    /// scans its whole next group, and the returned count is what that
-    /// loop visits. Kept as the reference the differential property
-    /// test and the `joincore` cross-check hold [`MrJob::reduce`] to —
-    /// rows, row order and count; nothing in the engine reaches it.
+    /// The reducer as a plain nested loop: every prefix scans its whole
+    /// next group, and the returned count is what that loop visits.
+    /// Kept as the reference the differential property test and the
+    /// `joincore` cross-check hold [`MrJob::reduce`] to — rows, row
+    /// order and count; nothing in the engine reaches it.
     #[doc(hidden)]
     pub fn reduce_scan_reference(
         &self,
@@ -485,44 +241,12 @@ impl ChainThetaJob {
         records: &[TaggedRecord],
         out: &mut Vec<Tuple>,
     ) -> u64 {
-        let Some(groups) = self.groups(records) else {
-            return 0;
+        let emit = &mut |row| {
+            out.push(row);
+            true
         };
-        self.scan_descend(key as u32, &groups, &mut Vec::new(), &mut Vec::new(), out)
-    }
-
-    fn scan_descend<'a>(
-        &self,
-        my_component: u32,
-        groups: &'a [Vec<(u64, &'a Tuple)>],
-        stack: &mut Vec<&'a Tuple>,
-        stripes: &mut Vec<u64>,
-        out: &mut Vec<Tuple>,
-    ) -> u64 {
-        let depth = stack.len();
-        if depth == groups.len() {
-            if self.partition.owner_of_cell(stripes) == my_component {
-                out.push(Tuple::concat_all(stack));
-            }
-            return 1;
-        }
-        let mut work = 0u64;
-        'rows: for &(gid, tuple) in &groups[depth] {
-            work += 1;
-            stack.push(tuple);
-            for &pi in &self.preds_by_depth[depth] {
-                if !self.preds[pi].holds(stack) {
-                    stack.pop();
-                    continue 'rows;
-                }
-            }
-            stripes.push(self.partition.stripe_of(depth, gid));
-            work =
-                work.saturating_add(self.scan_descend(my_component, groups, stack, stripes, out));
-            stripes.pop();
-            stack.pop();
-        }
-        work
+        self.descend(key, records, true, emit)
+            .map_or(0, |(visit, _)| visit.examined)
     }
 }
 
@@ -536,7 +260,7 @@ impl MrJob for ChainThetaJob {
     }
 
     fn skip_filter(&self, zones: &TagZones) -> Option<Box<dyn SkipFilter>> {
-        ChainSkipFilter::build(&self.zone_preds, self.dims.len(), zones)
+        ChainSkipFilter::build(&self.preds, self.dims.len(), zones)
     }
 
     fn map(&self, tag: u8, row: &Tuple, block_seed: u64, row_idx: usize, emit: &mut Emit<'_>) {
@@ -752,54 +476,6 @@ mod tests {
             .unwrap();
         let got = run_chain(&q, &[0], &[&r, &s], 4, PartitionStrategy::Hilbert);
         assert!(got.is_empty());
-    }
-
-    /// Bound selection per depth: an equality beats a band, a column
-    /// bounded on both sides beats a one-sided bound, and `<>`,
-    /// non-finite offsets and predicates between later dimensions give
-    /// nothing to search on.
-    #[test]
-    fn depth_bounds_prefer_equality_then_two_sided_bands() {
-        let pred =
-            |left_rel, left_col, left_off, op, right_rel, right_col, right_off| CompiledPredicate {
-                left_rel,
-                left_col,
-                left_off,
-                op,
-                right_rel,
-                right_col,
-                right_off,
-            };
-        let one_sided = pred(0, 1, 0.0, ThetaOp::Lt, 1, 1, 0.0); // x.b < y.b
-        let lower = pred(0, 0, 0.0, ThetaOp::Le, 1, 0, 0.0); // x.a <= y.a
-        let upper = pred(1, 0, 0.0, ThetaOp::Le, 0, 0, 2.0); // y.a <= x.a + 2
-        let equal = pred(1, 1, 1.0, ThetaOp::Eq, 0, 0, 0.0); // y.b + 1 = x.a
-        let chosen = |preds: &[&CompiledPredicate]| {
-            let b = DepthBound::choose(1, preds).expect("a bound");
-            (
-                b.own_col,
-                b.own_off,
-                b.lo.map(|s| s.off),
-                b.hi.map(|s| s.off),
-            )
-        };
-        assert_eq!(chosen(&[&one_sided]), (1, 0.0, Some(0.0), None));
-        assert_eq!(
-            chosen(&[&one_sided, &lower, &upper]),
-            (0, 0.0, Some(0.0), Some(2.0))
-        );
-        assert_eq!(
-            chosen(&[&one_sided, &lower, &upper, &equal]),
-            (1, 1.0, Some(0.0), Some(0.0))
-        );
-        let unusable = [
-            pred(0, 0, 0.0, ThetaOp::Ne, 1, 0, 0.0),
-            pred(0, 0, f64::INFINITY, ThetaOp::Le, 1, 0, 0.0),
-            pred(0, 0, 0.0, ThetaOp::Le, 1, 0, f64::NAN),
-        ];
-        assert!(DepthBound::choose(1, &unusable.iter().collect::<Vec<_>>()).is_none());
-        // Checkable at depth 2 only: says nothing about depth 1.
-        assert!(DepthBound::choose(1, &[&pred(1, 0, 0.0, ThetaOp::Le, 2, 0, 0.0)]).is_none());
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!   Riedewald's 1-Bucket-Theta. These are the building blocks of the
 //!   Hive/Pig/YSmart-style baseline cascades and of the merge steps
 //!   that combine partial MRJ outputs (§4.2, Fig. 4).
-//! * [`kernel`] — the compiled per-reducer join core: predicates
-//!   resolved once to flat column indices + operator function pointers,
-//!   dispatching to a residual-filtered hash join, a sort-merge band
-//!   join, or a compiled nested loop (see the module docs for the
-//!   selection rules).
+//! * `descent` — the one reduce-side join core both jobs run: a depth
+//!   first descent over per-input row groups that finds each depth's
+//!   candidates through a hash index, a sorted key range or a walk, and
+//!   checks every candidate with the same compiled predicate loop. Each
+//!   job supplies only its leaf and its priced formula.
+//! * [`kernel`] — the pair join as the descent's two-depth case
+//!   ([`PairKernel`]), with the index kinds ([`KernelKind`]).
 //! * [`shape`] — the layout of intermediate rows (which relations'
 //!   columns live where), shared by every operator.
 //! * [`oracle`] — a single-threaded nested-loop evaluator used as
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod chain;
+mod descent;
 pub mod kernel;
 pub mod oracle;
 pub mod pair;
@@ -34,7 +37,7 @@ pub mod shape;
 mod skip;
 
 pub use chain::ChainThetaJob;
-pub use kernel::{KernelKind, KeySlice, PairKernel};
+pub use kernel::{KernelKind, PairKernel};
 pub use oracle::oracle_join;
 pub use pair::{PairJob, PairStrategy};
 pub use shape::IntermediateShape;

@@ -16,16 +16,16 @@
 //!   rectangle tiling of the join matrix: exact cover, each pair
 //!   examined by exactly one reducer, balanced without statistics.
 //!
-//! Whatever the partitioning, the reduce-side join itself runs through
-//! a [`PairKernel`] compiled once at job construction (hash join on the
-//! equality component, sort-merge band join on a single inequality,
-//! compiled nested loop otherwise — see [`crate::kernel`]); the
-//! simulated cost accounting still prices the full candidate cross
-//! product per reducer, exactly as before.
+//! Whatever the partitioning, the reduce-side join is the shared
+//! `descent` at two depths — left rows, then the right rows each may
+//! join — compiled once at job construction as a [`PairKernel`]. The
+//! job keeps only its leaf (output assembly) and its priced formula:
+//! the full candidate cross product `|L|·|R|` per reducer, whatever the
+//! host examined.
 
 use crate::kernel::PairKernel;
 use crate::shape::IntermediateShape;
-use crate::skip::PairSkipFilter;
+use crate::skip::ChainSkipFilter;
 use mwtj_hilbert::RectPartition;
 use mwtj_mapreduce::engine::GROUP_BY_AUX;
 use mwtj_mapreduce::{Emit, MrJob, SkipFilter, TagZones, TaggedRecord};
@@ -33,6 +33,7 @@ use mwtj_query::theta::CompiledPredicate;
 use mwtj_query::MultiwayQuery;
 use mwtj_storage::{Schema, Tuple};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Partitioning strategy for a [`PairJob`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,8 +54,8 @@ pub enum PairStrategy {
 /// A pairwise theta-join / merge job.
 pub struct PairJob {
     name: String,
-    /// Compiled reduce-side join core (hash / band / nested dispatch,
-    /// flat columns, output assembly) — built once at construction.
+    /// The two-depth descent, flat columns and output assembly — built
+    /// once at construction.
     kernel: PairKernel,
     /// Map-side `EquiHash` key columns, resolved to flat column indices
     /// per input side (shared-relation columns then equality-predicate
@@ -67,6 +68,9 @@ pub struct PairJob {
     cards: (u64, u64),
     reducers: u32,
     out_shape: IntermediateShape,
+    /// Candidates really visited by every reduce call so far (a
+    /// statistic: publishes nothing, hence `Relaxed`).
+    examined: AtomicU64,
 }
 
 impl PairJob {
@@ -138,6 +142,7 @@ impl PairJob {
             cards: (cardinalities.0.max(1), cardinalities.1.max(1)),
             reducers,
             out_shape,
+            examined: AtomicU64::new(0),
         }
     }
 
@@ -154,12 +159,6 @@ impl PairJob {
     /// The strategy in use.
     pub fn strategy(&self) -> PairStrategy {
         self.strategy
-    }
-
-    /// The compiled reduce-side kernel (inspection: tests and benches
-    /// check which algorithm a predicate set selects).
-    pub fn kernel(&self) -> &PairKernel {
-        &self.kernel
     }
 
     /// Hash key of a row for `EquiHash`: shared-relation tuples plus
@@ -261,33 +260,14 @@ impl MrJob for PairJob {
         // Pure merges (shared-relation equality only, where NULL
         // matches NULL) compile no theta predicates and return `None`
         // here — zone ranges cannot speak for them.
-        PairSkipFilter::build(&self.kernel, zones)
+        ChainSkipFilter::build(self.kernel.side_preds(), 2, zones)
     }
 
-    fn reduce(&self, _key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
-        let mut lefts: Vec<&Tuple> = Vec::new();
-        let mut rights: Vec<&Tuple> = Vec::new();
-        for rec in records {
-            if rec.tag == 0 {
-                lefts.push(&rec.tuple);
-            } else {
-                rights.push(&rec.tuple);
-            }
-        }
-        let mut pairs = Vec::new();
-        self.kernel.join_into(&lefts, &rights, &mut pairs);
-        out.reserve(pairs.len());
-        for &(li, ri) in &pairs {
-            out.push(
-                self.kernel
-                    .assemble(lefts[li as usize], rights[ri as usize]),
-            );
-        }
-        // Simulated-cost contract: a reducer running the textbook
-        // nested loop examines every (left, right) combination, and the
-        // cost model (Eq. 2–4) prices that work. The kernel only makes
-        // the *host* faster; the reported candidate count is unchanged.
-        (lefts.len() as u64).saturating_mul(rights.len() as u64)
+    fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
+        self.reduce_streamed(key, records, &mut |row| {
+            out.push(row);
+            true
+        })
     }
 
     fn reduce_streamed(
@@ -305,15 +285,21 @@ impl MrJob for PairJob {
                 rights.push(&rec.tuple);
             }
         }
-        // Rows materialise one at a time as the kernel visits index
+        // Rows materialise one at a time as the descent visits index
         // pairs — the reducer never holds its output set.
-        let _ = self.kernel.join_visit(&lefts, &rights, &mut |li, ri| {
-            emit(
-                self.kernel
-                    .assemble(lefts[li as usize], rights[ri as usize]),
-            )
+        let examined = self.kernel.visit(&lefts, &rights, &mut |pair, _| {
+            emit(self.kernel.assemble(pair[0], pair[1]))
         });
+        self.examined.fetch_add(examined, Ordering::Relaxed);
+        // Simulated-cost contract: a reducer running the textbook
+        // nested loop examines every (left, right) combination, and the
+        // cost model (Eq. 2–4) prices that work, whatever the host
+        // examined.
         (lefts.len() as u64).saturating_mul(rights.len() as u64)
+    }
+
+    fn reduce_examined(&self) -> Option<u64> {
+        Some(self.examined.load(Ordering::Relaxed))
     }
 }
 

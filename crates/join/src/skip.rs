@@ -1,10 +1,11 @@
-//! Zone-map skip filters for the join jobs.
+//! The zone-map skip filter of both join jobs.
 //!
-//! Both filters answer one conservative question per block (and per
-//! row): *could this input possibly contribute an output row, given the
-//! min/max ranges of every partner block?* They are compiled once per
-//! run from the job's theta predicates — shared-relation equality
-//! constraints are deliberately ignored (they are an additional
+//! It answers one conservative question per block (and per row): *could
+//! this input possibly contribute an output row, given the min/max
+//! ranges of every partner block?* It is compiled once per run from the
+//! job's theta predicates over its inputs — a chain job's dimensions, or
+//! a pair job's two sides — and shared-relation equality constraints
+//! are deliberately ignored (they are an additional
 //! conjunct, so pruning on the theta predicates alone stays sound, and
 //! their NULL-matches-NULL merge semantics is exactly what zone ranges
 //! cannot capture).
@@ -15,112 +16,22 @@
 //! a block whose zones cannot satisfy some predicate against *any*
 //! partner block therefore never drops an output row.
 
-use crate::kernel::PairKernel;
 use mwtj_mapreduce::{SkipFilter, TagZones};
 use mwtj_query::theta::{value_may_satisfy, zones_may_satisfy, CompiledPredicate};
-use mwtj_query::ThetaOp;
 use mwtj_storage::{BlockZones, Tuple};
 use std::sync::Arc;
 
-/// Flat predicate as the pair kernel stores it: left-side-first.
-type FlatPred = (usize, f64, ThetaOp, usize, f64);
-
-/// Skip filter for the two-sided [`crate::pair::PairJob`]: tag 0 is the
-/// left input, tag 1 the right.
-pub(crate) struct PairSkipFilter {
-    preds: Vec<FlatPred>,
-    left: Vec<Arc<BlockZones>>,
-    right: Vec<Arc<BlockZones>>,
-    keep_left: Vec<bool>,
-    keep_right: Vec<bool>,
-    pairs: u64,
-    pruned: u64,
-}
-
-impl PairSkipFilter {
-    /// Compile a filter from the kernel's theta predicates, or `None`
-    /// when there is nothing to prune on (pure merges hash on shared
-    /// relations only — NULL equality there is out of zone-map reach).
-    pub(crate) fn build(kernel: &PairKernel, zones: &TagZones) -> Option<Box<dyn SkipFilter>> {
-        let preds: Vec<FlatPred> = kernel.flat_preds().collect();
-        if preds.is_empty() {
-            return None;
-        }
-        let left: Vec<Arc<BlockZones>> = zones.blocks(0).to_vec();
-        let right: Vec<Arc<BlockZones>> = zones.blocks(1).to_vec();
-        let mut keep_left = vec![false; left.len()];
-        let mut keep_right = vec![false; right.len()];
-        let mut pruned = 0u64;
-        for (i, lz) in left.iter().enumerate() {
-            for (j, rz) in right.iter().enumerate() {
-                let sat = preds.iter().all(|&(lc, lo, op, rc, ro)| {
-                    zones_may_satisfy(lz.column(lc), lo, op, rz.column(rc), ro)
-                });
-                if sat {
-                    keep_left[i] = true;
-                    keep_right[j] = true;
-                } else {
-                    pruned += 1;
-                }
-            }
-        }
-        let pairs = (left.len() as u64).saturating_mul(right.len() as u64);
-        Some(Box::new(PairSkipFilter {
-            preds,
-            left,
-            right,
-            keep_left,
-            keep_right,
-            pairs,
-            pruned,
-        }))
-    }
-}
-
-impl SkipFilter for PairSkipFilter {
-    fn keep_block(&self, tag: u8, block: usize) -> bool {
-        let kept = if tag == 0 {
-            &self.keep_left
-        } else {
-            &self.keep_right
-        };
-        // Unknown ordinals keep running — conservatism over cleverness.
-        kept.get(block).copied().unwrap_or(true)
-    }
-
-    fn keep_row(&self, tag: u8, row: &Tuple) -> bool {
-        if tag == 0 {
-            self.right.iter().any(|rz| {
-                self.preds.iter().all(|&(lc, lo, op, rc, ro)| {
-                    value_may_satisfy(row.get(lc), lo, op, rz.column(rc), ro)
-                })
-            })
-        } else {
-            // Right-side rows test the flipped operator against left
-            // zones: `l op r` ⇔ `r flip(op) l`.
-            self.left.iter().any(|lz| {
-                self.preds.iter().all(|&(lc, lo, op, rc, ro)| {
-                    value_may_satisfy(row.get(rc), ro, op.flip(), lz.column(lc), lo)
-                })
-            })
-        }
-    }
-
-    fn pair_counts(&self) -> (u64, u64) {
-        (self.pairs, self.pruned)
-    }
-}
-
-/// One edge group of the chain filter: all predicates between one
-/// unordered pair of dimensions, orientation preserved.
+/// One edge group of the filter: all predicates between one unordered
+/// pair of dimensions, orientation preserved.
 struct DimGroup {
     dims: (usize, usize),
     preds: Vec<CompiledPredicate>,
 }
 
-/// Skip filter for the multi-dimension [`crate::chain::ChainThetaJob`]:
-/// tag `d` is dimension `d`, predicates carry *dimension* indices in
-/// their `left_rel`/`right_rel` fields.
+/// Skip filter for [`crate::chain::ChainThetaJob`] and
+/// [`crate::pair::PairJob`]: tag `d` is dimension (or side) `d`,
+/// predicates carry dimension indices in their `left_rel`/`right_rel`
+/// fields and columns of that dimension's rows.
 pub(crate) struct ChainSkipFilter {
     groups: Vec<DimGroup>,
     blocks: Vec<Vec<Arc<BlockZones>>>,

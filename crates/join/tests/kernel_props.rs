@@ -1,21 +1,19 @@
-//! Differential property tests for the compiled join kernels.
+//! Differential property tests for the reduce-side join core.
 //!
-//! Three evaluators must agree on every random instance, as multisets:
-//!
-//! * the specialised kernel [`PairKernel::compile`] picks (hash / band
-//!   / nested),
-//! * the compiled nested loop ([`PairKernel::compile_nested`]), and
-//! * the single-threaded query [`oracle_join`].
+//! The pair join runs the shared descent at two depths. On every random
+//! instance its pairs must equal, in order, those of the descent's
+//! nested-loop scan reference ([`PairKernel::join_scan_reference`]),
+//! and, as a multiset, the single-threaded query [`oracle_join`].
 //!
 //! The chain reducer has its own differential target at the bottom:
-//! [`ChainThetaJob`]'s key-range descent against the scan it replaced
+//! [`ChainThetaJob`]'s indexed descent against its whole-group scan
 //! (`reduce_scan_reference`) — rows, row **order** and the priced
 //! candidate count, per reduce component.
 //!
 //! Instances randomise the schemas (arity and per-column types over
 //! Int/Double/Str), the predicates (`<`, `<=`, `=`, `!=`, and the
 //! flipped forms), NULL density, and the data distribution (skewed
-//! toward small keys so hash buckets and band runs both see heavy
+//! toward small keys so hash buckets and key ranges both see heavy
 //! duplication).
 
 use mwtj_hilbert::PartitionStrategy;
@@ -83,9 +81,9 @@ fn build_rel(name: &str, types: &[DataType], raws: &[Vec<i64>]) -> Relation {
 const TYPES: [DataType; 3] = [DataType::Int, DataType::Double, DataType::Str];
 const OPS: [ThetaOp; 4] = [ThetaOp::Lt, ThetaOp::Le, ThetaOp::Eq, ThetaOp::Ne];
 
-/// Run all three evaluators and assert multiset equality (plain
-/// asserts: the proptest shim does not shrink). Returns the kernel kind
-/// actually exercised.
+/// Run the kernel, its scan reference and the oracle and assert they
+/// agree (plain asserts: the proptest shim does not shrink). Returns the
+/// index kind actually exercised.
 fn check_agreement(q: &MultiwayQuery, l: &Relation, r: &Relation) -> KernelKind {
     let left = IntermediateShape::base(q, 0);
     let right = IntermediateShape::base(q, 1);
@@ -97,42 +95,36 @@ fn check_agreement(q: &MultiwayQuery, l: &Relation, r: &Relation) -> KernelKind 
         .iter()
         .flat_map(|c| c.iter().copied())
         .collect();
-    let fast = PairKernel::compile(&left, &right, &out, &preds);
-    let slow = PairKernel::compile_nested(&left, &right, &out, &preds);
+    let kernel = PairKernel::compile(&left, &right, &out, &preds);
 
     let lrows: Vec<&Tuple> = l.rows().iter().collect();
     let rrows: Vec<&Tuple> = r.rows().iter().collect();
-    let assemble_all = |k: &PairKernel| -> Vec<Tuple> {
-        let mut pairs = Vec::new();
-        k.join_into(&lrows, &rrows, &mut pairs);
-        pairs
-            .iter()
-            .map(|&(li, ri)| k.assemble(lrows[li as usize], rrows[ri as usize]))
-            .collect()
-    };
-
-    let got_fast = assemble_all(&fast);
-    let got_slow = assemble_all(&slow);
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    kernel.join_into(&lrows, &rrows, &mut got);
+    kernel.join_scan_reference(&lrows, &rrows, &mut want);
     // Pair streams must agree exactly (order included); the oracle only
     // as a multiset (it enumerates in its own order).
-    assert_eq!(&got_fast, &got_slow, "kernel {:?} vs nested", fast.kind());
-    let want = canonicalize(oracle_join(q, &[l, r]));
+    assert_eq!(&got, &want, "{:?} index vs scan", kernel.kind());
+    let rows: Vec<Tuple> = got
+        .iter()
+        .map(|&(li, ri)| kernel.assemble(lrows[li as usize], rrows[ri as usize]))
+        .collect();
     assert_eq!(
-        canonicalize(got_fast),
-        want,
-        "kernel {:?} vs oracle",
-        fast.kind()
+        canonicalize(rows),
+        canonicalize(oracle_join(q, &[l, r])),
+        "{:?} index vs oracle",
+        kernel.kind()
     );
-    fast.kind()
+    kernel.kind()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Any predicate set over random schemas: the selected kernel, the
-    /// nested loop, and the oracle agree.
+    /// Any predicate set over random schemas: the selected index, the
+    /// scan reference, and the oracle agree.
     #[test]
-    fn kernel_equals_nested_and_oracle(
+    fn kernel_equals_scan_and_oracle(
         ltypes in prop::collection::vec(0usize..3, 1..4),
         rtypes in prop::collection::vec(0usize..3, 1..4),
         lraws in prop::collection::vec(prop::collection::vec(any::<i64>(), 3), 0..28),
@@ -157,8 +149,8 @@ proptest! {
         check_agreement(&q, &l, &r);
     }
 
-    /// Single-inequality instances: the band kernel is actually the one
-    /// under test (not a lucky nested fallback), across both operator
+    /// Single-inequality instances: the sorted key range is actually
+    /// the index under test (not a lucky walk), across both operator
     /// directions and Int/Double/Str columns.
     #[test]
     fn band_kernel_is_exercised_and_exact(
@@ -180,10 +172,10 @@ proptest! {
             .build()
             .unwrap();
         let kind = check_agreement(&q, &l, &r);
-        prop_assert_eq!(kind, KernelKind::Band);
+        prop_assert_eq!(kind, KernelKind::Range);
     }
 
-    /// Equality-bearing instances: the hash kernel is the one under
+    /// Equality-bearing instances: the hash index is the one under
     /// test, with and without a residual inequality.
     #[test]
     fn hash_kernel_is_exercised_and_exact(
@@ -209,8 +201,8 @@ proptest! {
     }
 }
 
-/// A value for the chain differential: every class the key-range index
-/// has to order or set aside. Columns are deliberately *not* typed —
+/// A value for the chain differential: every class the hash and
+/// key-range indexes have to order or set aside. Columns are deliberately *not* typed —
 /// integers beyond ±2⁵³ sit next to the doubles they collide with under
 /// the f64 view, strings next to numbers. `mode` is the column's
 /// flavour: 0 spreads numbers over a wide domain (narrow ranges, so the
@@ -288,8 +280,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// 2–4-dimension chains over untyped data, every predicate shape the
-    /// index distinguishes, under every partitioning the suite uses:
-    /// the key-range descent returns the scan's rows, in the scan's
+    /// indexes distinguish, under every partitioning the suite uses:
+    /// the indexed descent returns the scan's rows, in the scan's
     /// order, and prices the scan's work.
     #[test]
     fn chain_range_descent_equals_scan_reference(

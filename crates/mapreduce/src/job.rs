@@ -155,9 +155,9 @@ pub trait MrJob: Sync {
     /// the chain join its depth-wise nested loop with early predicate
     /// pruning, for a pair join `|L|·|R|`. The engine charges
     /// `cpu_per_candidate_secs` per unit on the simulated clock, so the
-    /// count must not depend on how the host finds the matches (hash,
-    /// band and key-range kernels visit far fewer). What the host
-    /// really visited is [`MrJob::reduce_examined`].
+    /// count must not depend on how the host finds the matches (the
+    /// join jobs' hash and key-range indexes visit far fewer). What the
+    /// host really visited is [`MrJob::reduce_examined`].
     fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64;
 
     /// Running total of the candidates this job's `reduce` /

@@ -26,4 +26,4 @@ pub mod theta;
 pub use graph::{JoinEdge, JoinGraph, JoinPath};
 pub use query::{CompiledConditions, MultiwayQuery, QueryBuilder};
 pub use sql::{parse_query, parse_sql, parse_statement, ParsedQuery, ParsedSql, Statement};
-pub use theta::{ColExpr, ParamRef, Predicate, ThetaOp, TypedPred};
+pub use theta::{ColExpr, ParamRef, Predicate, ThetaOp};

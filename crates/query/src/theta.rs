@@ -363,161 +363,6 @@ impl CompiledPredicate {
     }
 }
 
-/// Typed key vectors for the two sides of one vectorized predicate.
-#[derive(Debug)]
-enum TypedKeys {
-    /// Both sides all-integer (zero offsets): exact `i64` comparison,
-    /// any magnitude — identical to `sql_cmp`'s Int/Int arm.
-    I64(Vec<i64>, Vec<i64>),
-    /// Numeric `f64` view (post-offset, or a mixed Int/Double class
-    /// proven exact): compared with `total_cmp`, identical to
-    /// [`eval_theta`]'s numeric paths.
-    F64(Vec<f64>, Vec<f64>),
-}
-
-/// A theta predicate compiled against two *column vectors*: both sides
-/// are classified and projected into typed key vectors once, and pair
-/// evaluation then reads `&[i64]`/`&[f64]` slices instead of walking
-/// tuple structs. [`TypedPred::prepare`] refuses (returns `None`) any
-/// value mix whose vectorized comparison could diverge from
-/// [`eval_theta`] — strings under zero offsets, and Int/Int pairings
-/// beyond ±2⁵³ that would collapse in an `f64` key — so `holds` is
-/// **bit-identical** to per-pair `eval_theta` whenever it runs.
-#[derive(Debug)]
-pub struct TypedPred {
-    op: ThetaOp,
-    keys: TypedKeys,
-    /// Rows whose value cannot satisfy any theta (NULLs; strings under
-    /// offsets). `None` = every row valid.
-    l_valid: Option<Vec<bool>>,
-    r_valid: Option<Vec<bool>>,
-}
-
-impl TypedPred {
-    /// Classify and project the two sides. `None` means "evaluate this
-    /// predicate per pair via [`eval_theta`]" — never wrong, only
-    /// slower.
-    pub fn prepare(
-        l_vals: &[&Value],
-        l_off: f64,
-        op: ThetaOp,
-        r_vals: &[&Value],
-        r_off: f64,
-    ) -> Option<TypedPred> {
-        const EXACT: u64 = 1u64 << 53;
-        if l_off != 0.0 || r_off != 0.0 {
-            // Offset path: eval_theta takes the f64 numeric view and
-            // adds the offset — any value mix vectorizes, with
-            // strings/NULLs marked invalid.
-            let project = |vals: &[&Value], off: f64| {
-                let mut keys = Vec::with_capacity(vals.len());
-                let mut valid = Vec::with_capacity(vals.len());
-                let mut all = true;
-                for v in vals {
-                    match v.as_numeric() {
-                        Some(x) => {
-                            keys.push(x + off);
-                            valid.push(true);
-                        }
-                        None => {
-                            keys.push(0.0);
-                            valid.push(false);
-                            all = false;
-                        }
-                    }
-                }
-                (keys, if all { None } else { Some(valid) })
-            };
-            let (lk, lv) = project(l_vals, l_off);
-            let (rk, rv) = project(r_vals, r_off);
-            return Some(TypedPred {
-                op,
-                keys: TypedKeys::F64(lk, rk),
-                l_valid: lv,
-                r_valid: rv,
-            });
-        }
-        // Zero offsets: the sql_cmp path. Classify both sides jointly.
-        #[derive(Default)]
-        struct Flags {
-            has_int: bool,
-            has_double: bool,
-            has_str: bool,
-            has_null: bool,
-            any_big: bool,
-        }
-        let scan = |vals: &[&Value]| {
-            let mut f = Flags::default();
-            for v in vals {
-                match v {
-                    Value::Int(x) => {
-                        f.has_int = true;
-                        if x.unsigned_abs() > EXACT {
-                            f.any_big = true;
-                        }
-                    }
-                    Value::Double(_) => f.has_double = true,
-                    Value::Str(_) => f.has_str = true,
-                    Value::Null => f.has_null = true,
-                }
-            }
-            f
-        };
-        let lf = scan(l_vals);
-        let rf = scan(r_vals);
-        if lf.has_str || rf.has_str {
-            return None;
-        }
-        let valid_mask = |vals: &[&Value]| -> Option<Vec<bool>> {
-            Some(vals.iter().map(|v| !v.is_null()).collect())
-        };
-        if !lf.has_double && !rf.has_double {
-            // All-integer: exact i64 keys, no magnitude limit.
-            let ints = |vals: &[&Value]| vals.iter().map(|v| v.as_int().unwrap_or(0)).collect();
-            return Some(TypedPred {
-                op,
-                keys: TypedKeys::I64(ints(l_vals), ints(r_vals)),
-                l_valid: lf.has_null.then(|| valid_mask(l_vals)).flatten(),
-                r_valid: rf.has_null.then(|| valid_mask(r_vals)).flatten(),
-            });
-        }
-        // Mixed numerics: an f64 key is exact for Int/Double pairings
-        // (sql_cmp itself converts), but an Int/Int pairing beyond ±2⁵³
-        // needs exact i64 comparison — refuse when both sides carry
-        // ints and either side's ints exceed the exact range.
-        if lf.has_int && rf.has_int && (lf.any_big || rf.any_big) {
-            return None;
-        }
-        let nums = |vals: &[&Value]| vals.iter().map(|v| v.as_numeric().unwrap_or(0.0)).collect();
-        Some(TypedPred {
-            op,
-            keys: TypedKeys::F64(nums(l_vals), nums(r_vals)),
-            l_valid: lf.has_null.then(|| valid_mask(l_vals)).flatten(),
-            r_valid: rf.has_null.then(|| valid_mask(r_vals)).flatten(),
-        })
-    }
-
-    /// Does the predicate hold for pair `(li, ri)`? Bit-identical to
-    /// `eval_theta` over the original values.
-    #[inline]
-    pub fn holds(&self, li: usize, ri: usize) -> bool {
-        if let Some(v) = &self.l_valid {
-            if !v[li] {
-                return false;
-            }
-        }
-        if let Some(v) = &self.r_valid {
-            if !v[ri] {
-                return false;
-            }
-        }
-        match &self.keys {
-            TypedKeys::I64(l, r) => self.op.holds(l[li].cmp(&r[ri])),
-            TypedKeys::F64(l, r) => self.op.holds(l[li].total_cmp(&r[ri])),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,67 +613,6 @@ mod tests {
             &rng,
             0.0
         ));
-    }
-
-    #[test]
-    fn typed_pred_agrees_with_eval_theta() {
-        let big = (1i64 << 53) + 1;
-        let domain = vec![
-            Value::Int(3),
-            Value::Int(-7),
-            Value::Int(big),
-            Value::Int(i64::MIN),
-            Value::Double(2.5),
-            Value::Double(-0.0),
-            Value::Double(0.0),
-            Value::Double(f64::NAN),
-            Value::Double(f64::INFINITY),
-            Value::Null,
-            Value::from("apple"),
-        ];
-        // Slices of the domain give different side classes (all-int,
-        // mixed numeric, with/without NULLs and strings).
-        let sides: Vec<Vec<&Value>> = vec![
-            domain[0..2].iter().collect(), // small ints
-            domain[0..4].iter().collect(), // ints incl. big
-            domain[4..9].iter().collect(), // doubles
-            domain[0..9].iter().collect(), // mixed numerics
-            domain.iter().collect(),       // everything
-            vec![&domain[9]],              // only NULL
-            vec![],                        // empty
-        ];
-        let mut vectorized = 0;
-        for l in &sides {
-            for r in &sides {
-                for op in ThetaOp::ALL {
-                    for (lo, ro) in [(0.0, 0.0), (1.5, 0.0), (0.0, -2.0)] {
-                        let Some(tp) = TypedPred::prepare(l, lo, op, r, ro) else {
-                            continue;
-                        };
-                        vectorized += 1;
-                        for (li, lv) in l.iter().enumerate() {
-                            for (ri, rv) in r.iter().enumerate() {
-                                assert_eq!(
-                                    tp.holds(li, ri),
-                                    eval_theta(lv, lo, op, rv, ro),
-                                    "{lv} {op} {rv} offs ({lo},{ro})"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        assert!(
-            vectorized > 100,
-            "vectorization barely engaged: {vectorized}"
-        );
-        // The unsound classes must be refused: strings at zero offset,
-        // and big-int × double mixes where Int/Int pairs collapse.
-        let strs: Vec<&Value> = vec![&domain[10]];
-        assert!(TypedPred::prepare(&strs, 0.0, ThetaOp::Lt, &strs, 0.0).is_none());
-        let big_mix: Vec<&Value> = vec![&domain[2], &domain[4]];
-        assert!(TypedPred::prepare(&big_mix, 0.0, ThetaOp::Lt, &big_mix, 0.0).is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Re-exports every subsystem crate under one roof so examples, tests and
 //! downstream users can depend on a single package. See the README for the
-//! architecture overview and `DESIGN.md` for the paper-to-module map.
+//! architecture overview.
 
 pub use mwtj_core as system;
 pub use mwtj_cost as cost;
