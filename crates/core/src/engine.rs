@@ -1446,6 +1446,8 @@ impl Engine {
                 m.counter_add(series::TASK_PANICS, &[], totals.panics_caught);
                 let examined = run.jobs.iter().filter_map(|j| j.reduce_examined).sum();
                 m.counter_add(series::REDUCE_EXAMINED, &[], examined);
+                let elided = run.jobs.iter().map(|j| j.shuffle_elided).sum();
+                m.counter_add(series::SHUFFLE_ELIDED, &[], elided);
                 run
             }
             Err(e) => {
@@ -2011,6 +2013,7 @@ fn job_record(m: &JobMetrics) -> JobRecord {
         shuffle_bytes: m.map_output_bytes,
         candidates: m.reduce_candidates,
         examined: m.reduce_examined,
+        elided: m.shuffle_elided,
         sim_secs: m.sim_total_secs,
         real_secs: m.real_secs,
         skip_fraction: m.skip_fraction(),
@@ -2056,7 +2059,8 @@ fn job_span(index: usize, m: &JobMetrics) -> SpanRecord {
             .with_meta("bytes", m.map_output_bytes),
     );
     // `candidates` is the priced work (the simulated clock's);
-    // `examined`, where the job counts it, what the host visited.
+    // `examined`, where the job counts it, what the host visited;
+    // `elided`, the shuffle records priced but never moved.
     let mut reduce = SpanRecord::synthetic(&format!("job{index}/reduce"))
         .with_sim_secs(reduce_secs)
         .with_meta("tasks", m.reduce_tasks)
@@ -2064,6 +2068,7 @@ fn job_span(index: usize, m: &JobMetrics) -> SpanRecord {
     if let Some(examined) = m.reduce_examined {
         reduce = reduce.with_meta("examined", examined);
     }
+    reduce = reduce.with_meta("elided", m.shuffle_elided);
     job.children.push(reduce);
     job.wall_ms = m.real_secs * 1e3;
     let phases = [m.real_map_secs, m.real_shuffle_secs, m.real_reduce_secs];

@@ -24,6 +24,7 @@ pub(crate) const TASK_ATTEMPTS: &str = "mwtj_task_attempts_total";
 pub(crate) const TASK_RETRIES: &str = "mwtj_task_retries_total";
 pub(crate) const TASK_PANICS: &str = "mwtj_task_panics_total";
 pub(crate) const REDUCE_EXAMINED: &str = "mwtj_reduce_examined_total";
+pub(crate) const SHUFFLE_ELIDED: &str = "mwtj_shuffle_elided_total";
 pub(crate) const ZONE_BLOCKS: &str = "mwtj_zone_blocks_total";
 pub(crate) const ZONE_BLOCKS_PRUNED: &str = "mwtj_zone_blocks_pruned_total";
 pub(crate) const ZONE_PAIRS: &str = "mwtj_zone_pairs_total";

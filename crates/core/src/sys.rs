@@ -80,6 +80,8 @@ pub fn schema_of(base: &str) -> Option<Schema> {
             // (NULL for jobs that do not count their visits).
             ("candidates", DataType::Int),
             ("examined", DataType::Int),
+            // Shuffle records priced but not moved.
+            ("elided", DataType::Int),
             ("sim_secs", DataType::Double),
             ("real_secs", DataType::Double),
             ("skip_fraction", DataType::Double),
@@ -181,6 +183,7 @@ pub fn jobs_relation(records: &[FlightRecord]) -> Relation {
                     int(j.shuffle_bytes),
                     int(j.candidates),
                     j.examined.map_or(Value::Null, int),
+                    int(j.elided),
                     Value::Double(j.sim_secs),
                     Value::Double(j.real_secs),
                     Value::Double(j.skip_fraction),
@@ -341,6 +344,7 @@ mod tests {
                 shuffle_bytes: 2048,
                 candidates: 5000,
                 examined: Some(120),
+                elided: 40,
                 sim_secs: 0.25,
                 real_secs: 0.01,
                 skip_fraction: 0.5,

@@ -15,7 +15,8 @@
 //!   `candidates` on a tight band chain, equal to it on a `<>`-only
 //!   chain, above it on a hash join whose one-key groups emit every pair
 //!   they price — in `EXPLAIN ANALYZE`, `sys.jobs` and the metrics
-//!   series.
+//!   series; `elided` says a chain job counted dead rows instead of
+//!   shipping them, and a pair job never does.
 //! * Every counter has one home, so the doors agree: `stats_snapshot`
 //!   (the `stats`/`status` replies), the `metrics` exposition and
 //!   `sys.metrics`/`sys.scheduler` report the same values after any
@@ -617,10 +618,15 @@ fn profile_leaves_cover_the_wall_time() {
 /// what the simulated clock charges on a tight band chain, exactly what
 /// it charges where no predicate bounds a key (`<>`), and on a pair
 /// job's hash path the output it emits on top of the pairs it prices.
+/// A band against a wide-domain relation, most of whose rows join
+/// nothing, elides their shuffle records; the pair path elides none.
 /// `EXPLAIN ANALYZE`, `sys.jobs` and the metrics series all say so.
 #[test]
 fn examined_candidates_say_which_reducer_path_ran() {
     let engine = seeded_engine(8);
+    let wide_schema = Schema::from_pairs("w", &[("a", DataType::Int), ("b", DataType::Int)]);
+    let wide = (0..10).map(|i| tuple![i * 300, i]).collect();
+    let _ = engine.load_relation(&Relation::from_rows_unchecked(wide_schema, wide));
     let explain = |sql: &str| {
         engine
             .explain_sql(
@@ -636,22 +642,26 @@ fn examined_candidates_say_which_reducer_path_ran() {
     );
     let ne = explain("SELECT x.a, z.b FROM r x, s y, t z WHERE x.a <> y.a AND y.b <> z.b");
     let eq = explain("SELECT x.a, y.b FROM r x, s y WHERE x.a = y.a");
+    let wide = explain("SELECT x.a, y.b FROM r x, w y WHERE x.a <= y.a AND y.a <= x.a + 1");
     let counts = |report: &mwtj_core::ExplainReport| {
         let run = report.analyzed.as_ref().unwrap();
         assert_eq!(run.jobs.len(), 1, "a single job: {}", run.plan);
         let job = &run.jobs[0];
         let examined = job.reduce_examined.expect("join jobs count their visits");
-        let line = format!("candidates={} examined={examined}", job.reduce_candidates);
+        let line = format!(
+            "candidates={} examined={examined} elided={}",
+            job.reduce_candidates, job.shuffle_elided
+        );
         let text = report.render();
         assert!(text.contains(&line), "no `{line}` in\n{text}");
-        (job.reduce_candidates, examined)
+        (job.reduce_candidates, examined, job.shuffle_elided)
     };
-    let (band_priced, band_examined) = counts(&band);
+    let band_counts @ (band_priced, band_examined, _) = counts(&band);
     assert!(
         band_examined * 2 < band_priced,
         "tight band examined {band_examined} of {band_priced}"
     );
-    let (ne_priced, ne_examined) = counts(&ne);
+    let ne_counts @ (ne_priced, ne_examined, _) = counts(&ne);
     assert_eq!(ne_examined, ne_priced, "`<>` bounds no key");
     // A hash job's reduce groups hold one key each, so every pair a
     // group prices is an output pair: its hash index tries each once,
@@ -659,41 +669,49 @@ fn examined_candidates_say_which_reducer_path_ran() {
     assert!(eq.analyzed.as_ref().unwrap().jobs[0]
         .name
         .starts_with("equi["));
-    let (eq_priced, eq_examined) = counts(&eq);
+    let eq_counts @ (eq_priced, eq_examined, eq_elided) = counts(&eq);
     assert!(
         eq_examined > 2 * eq_priced,
         "hash index examined {eq_examined} of {eq_priced}"
     );
+    assert_eq!(eq_elided, 0, "pair jobs ship every row");
+    // `w.a` steps by 300 over a domain whose zone covers every `r.a`
+    // (< 30), so zone maps keep all of `r`; yet only `r.a = 0` joins.
+    // A chain job counts the dead rows' records instead of moving them.
+    assert!(wide.analyzed.as_ref().unwrap().jobs[0]
+        .name
+        .starts_with("chain["));
+    let wide_counts @ (_, wide_examined, wide_elided) = counts(&wide);
+    assert!(wide_elided > 0, "the wide band shipped every row");
 
-    // The series is the sum; `sys.jobs` carries both columns per job.
+    // The series are the sums; `sys.jobs` carries the columns per job.
     let text = engine.metrics().render_text();
     assert_eq!(
         scraped(&text, "mwtj_reduce_examined_total"),
-        (band_examined + ne_examined + eq_examined) as f64
+        (band_examined + ne_examined + eq_examined + wide_examined) as f64
+    );
+    let elided = [band_counts, ne_counts, eq_counts, wide_counts].map(|c| c.2);
+    assert_eq!(
+        scraped(&text, "mwtj_shuffle_elided_total"),
+        elided.iter().sum::<u64>() as f64
     );
     let sys = engine
         .run_sql(
-            "SELECT j.candidates, j.examined FROM sys.jobs j, sys.queries q \
+            "SELECT j.candidates, j.examined, j.elided FROM sys.jobs j, sys.queries q \
              WHERE j.trace_id = q.trace_id",
         )
         .unwrap();
-    let mut rows: Vec<(i64, i64)> = sys
+    let mut rows: Vec<(u64, u64, u64)> = sys
         .output
         .rows()
         .iter()
         .map(|t| {
-            (
-                t.values()[0].as_int().unwrap(),
-                t.values()[1].as_int().unwrap(),
-            )
+            let v = |i: usize| t.values()[i].as_int().unwrap() as u64;
+            (v(0), v(1), v(2))
         })
         .collect();
     rows.sort_unstable();
-    let mut want = [
-        (band_priced as i64, band_examined as i64),
-        (ne_priced as i64, ne_examined as i64),
-        (eq_priced as i64, eq_examined as i64),
-    ];
+    let mut want = [band_counts, ne_counts, eq_counts, wide_counts];
     want.sort_unstable();
     assert_eq!(rows, want);
 }

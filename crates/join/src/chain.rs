@@ -31,12 +31,20 @@
 //!    from visits, so the simulated clock does not depend on the index.
 //!    The **examined** count ([`MrJob::reduce_examined`]) is what the
 //!    host really visited.
+//! 4. **dead rows are counted, not shipped** ([`MrJob::dead_rows`]):
+//!    before the map phase, each edge's larger kept side is probed
+//!    against an exact semi-join index over the smaller side. A row
+//!    that joins nothing there, and whose priced work the closed form
+//!    can take from counts alone, is routed like any other but only
+//!    its record count and bytes travel (`ChainDeadRows`). Algorithm 1
+//!    ships it, so Eq. 2–4 still price it: the reducer adds the counts
+//!    into the group sizes and survivors of its formula.
 
-use crate::descent::{Descent, Visit};
+use crate::descent::{Descent, SemiJoin, Visit};
 use crate::shape::IntermediateShape;
 use crate::skip::ChainSkipFilter;
 use mwtj_hilbert::{PartitionStrategy, SpacePartition};
-use mwtj_mapreduce::{Emit, MrJob, SkipFilter, TagZones, TaggedRecord};
+use mwtj_mapreduce::{DeadRows, Emit, KeptRows, MrJob, SkipFilter, TagZones, TaggedRecord};
 use mwtj_query::theta::CompiledPredicate;
 use mwtj_query::MultiwayQuery;
 use mwtj_storage::{Schema, Tuple};
@@ -163,16 +171,29 @@ impl ChainThetaJob {
         z % card.max(1)
     }
 
+    /// Algorithm 1's routing of the `row_idx`-th row of a block of `tag`
+    /// with seed `block_seed`: its global id and the components its
+    /// stripe reaches.
+    fn route(&self, tag: u8, block_seed: u64, row_idx: usize) -> (u64, &[u32]) {
+        let dim = tag as usize;
+        debug_assert!(dim < self.dims.len(), "tag beyond chain dimensions");
+        let gid = Self::global_id(block_seed, row_idx, self.cardinalities[dim]);
+        let stripe = self.partition.stripe_of(dim, gid);
+        (gid, self.partition.components_for_stripe(dim, stripe))
+    }
+
     /// Shared reduce body: bucket the records per dimension, in arrival
     /// order and with each row's stripe, and run the descent — or, for
     /// the reference, its whole-group scan — handing the combinations
     /// whose cell this component owns to `emit`, one at a time. Returns
-    /// what the descent saw and the group sizes; `None` when some
-    /// dimension contributed nothing to this cell region.
+    /// what the descent saw and the group sizes, both with the
+    /// `counted[d]` dead rows of each dimension `d` added in; `None`
+    /// when some dimension contributed nothing to this cell region.
     fn descend(
         &self,
         key: u64,
         records: &[TaggedRecord],
+        counted: &[u64],
         scan: bool,
         emit: &mut dyn FnMut(Tuple) -> bool,
     ) -> Option<(Visit, Vec<u64>)> {
@@ -183,7 +204,11 @@ impl ChainThetaJob {
             rows[dim].push(&rec.tuple);
             stripes[dim].push(self.partition.stripe_of(dim, rec.aux));
         }
-        if rows.iter().any(Vec::is_empty) {
+        let dead = |d: usize| counted.get(d).copied().unwrap_or(0);
+        let sizes: Vec<u64> = (0..rows.len())
+            .map(|d| rows[d].len() as u64 + dead(d))
+            .collect();
+        if sizes.contains(&0) {
             return None;
         }
         let groups: Vec<&[&Tuple]> = rows.iter().map(Vec::as_slice).collect();
@@ -195,25 +220,33 @@ impl ChainThetaJob {
             // Ownership test: exactly one component owns this cell.
             self.partition.owner_of_cell(&cell) != key as u32 || emit(Tuple::concat_all(stack))
         };
-        let visit = if scan {
+        let mut visit = if scan {
             self.descent.run_scan(&groups, leaf)
         } else {
             self.descent.run(&groups, leaf)
         };
-        Some((visit, groups.iter().map(|g| g.len() as u64).collect()))
+        // A dead row of a later dimension fails its depth under every
+        // prefix: it is only part of its group. One of dimension 0
+        // survives depth 0, which checks no predicate, then fails depth
+        // 1 against every row (`ChainDeadRows` counts no other kind).
+        visit.survivors[0] += dead(0);
+        Some((visit, sizes))
     }
 
     /// The reduce body: descend, count what was examined, and return the
     /// priced work of the textbook nested loop — `|G_0|`, plus
     /// `|G_{d+1}|` for every row that survives depth `d`, plus one per
-    /// full combination.
+    /// full combination — over the shipped `records` and the `counted`
+    /// dead rows per dimension alike. `reduce` and `reduce_streamed` are
+    /// its case with nothing counted.
     fn reduce_inner(
         &self,
         key: u64,
         records: &[TaggedRecord],
+        counted: &[u64],
         emit: &mut dyn FnMut(Tuple) -> bool,
     ) -> u64 {
-        let Some((visit, sizes)) = self.descend(key, records, false, emit) else {
+        let Some((visit, sizes)) = self.descend(key, records, counted, false, emit) else {
             return 0;
         };
         self.examined.fetch_add(visit.examined, Ordering::Relaxed);
@@ -245,8 +278,90 @@ impl ChainThetaJob {
             out.push(row);
             true
         };
-        self.descend(key, records, true, emit)
+        self.descend(key, records, &[], true, emit)
             .map_or(0, |(visit, _)| visit.examined)
+    }
+}
+
+/// The chain job's [`DeadRows`] filter: per dimension, the semi-joins a
+/// row of it must pass to be shipped.
+///
+/// The priced count is `|G_0| + S_{n−1} + Σ_d S_d·|G_{d+1}|`, with `S_d`
+/// the rows surviving depth `d`. A row of dimension `d` that joins no
+/// kept row of an adjacent dimension `e` may be counted only when its
+/// share of that sum is known without its values: for `e < d` it fails
+/// depth `d` under every prefix and adds to `|G_d|` alone; for `d = 0,
+/// e = 1` it survives depth 0 and fails depth 1, adding to `|G_0|` and
+/// `S_0`. Any other such row is shipped. Per edge, the side with more
+/// kept rows probes an index over the other, where the rule allows it.
+struct ChainDeadRows<'a> {
+    job: &'a ChainThetaJob,
+    probes: Vec<Vec<SemiJoin<'a>>>,
+}
+
+impl<'a> ChainDeadRows<'a> {
+    fn build(job: &'a ChainThetaJob, kept: &KeptRows<'a>) -> Option<Self> {
+        let mut probes: Vec<Vec<SemiJoin<'a>>> = job.dims.iter().map(|_| Vec::new()).collect();
+        let edge =
+            |p: &CompiledPredicate| (p.left_rel.min(p.right_rel), p.left_rel.max(p.right_rel));
+        let mut edges: Vec<(usize, usize)> = job.preds.iter().map(edge).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        for (a, b) in edges {
+            let (probed, indexed) = match kept.count(b as u8) >= kept.count(a as u8) {
+                true => (b, a),
+                false => (a, b),
+            };
+            if indexed > probed && (probed, indexed) != (0, 1) {
+                continue;
+            }
+            let depth = |d: usize| usize::from(d == indexed);
+            let preds: Vec<CompiledPredicate> = job
+                .preds
+                .iter()
+                .filter(|p| edge(p) == (a, b))
+                .map(|p| CompiledPredicate {
+                    left_rel: depth(p.left_rel),
+                    right_rel: depth(p.right_rel),
+                    ..*p
+                })
+                .collect();
+            probes[probed].extend(SemiJoin::new(&preds, kept.rows(indexed as u8)));
+        }
+        probes
+            .iter()
+            .any(|p| !p.is_empty())
+            .then_some(ChainDeadRows { job, probes })
+    }
+}
+
+impl DeadRows for ChainDeadRows<'_> {
+    fn count(
+        &self,
+        tag: u8,
+        row: &Tuple,
+        block_seed: u64,
+        row_idx: usize,
+        count: &mut dyn FnMut(u64, usize),
+    ) -> bool {
+        if self.probes[tag as usize].iter().all(|p| p.joins(row)) {
+            return false;
+        }
+        let bytes = TaggedRecord::wire_len(row);
+        for &comp in self.job.route(tag, block_seed, row_idx).1 {
+            count(comp as u64, bytes);
+        }
+        true
+    }
+
+    fn reduce(
+        &self,
+        key: u64,
+        records: &[TaggedRecord],
+        counted: &[u64],
+        emit: &mut dyn FnMut(Tuple) -> bool,
+    ) -> u64 {
+        self.job.reduce_inner(key, records, counted, emit)
     }
 }
 
@@ -263,12 +378,13 @@ impl MrJob for ChainThetaJob {
         ChainSkipFilter::build(&self.preds, self.dims.len(), zones)
     }
 
+    fn dead_rows<'a>(&'a self, kept: &KeptRows<'a>) -> Option<Box<dyn DeadRows + 'a>> {
+        ChainDeadRows::build(self, kept).map(|d| Box::new(d) as Box<dyn DeadRows + 'a>)
+    }
+
     fn map(&self, tag: u8, row: &Tuple, block_seed: u64, row_idx: usize, emit: &mut Emit<'_>) {
-        let dim = tag as usize;
-        debug_assert!(dim < self.dims.len(), "tag beyond chain dimensions");
-        let gid = Self::global_id(block_seed, row_idx, self.cardinalities[dim]);
-        let stripe = self.partition.stripe_of(dim, gid);
-        for &comp in self.partition.components_for_stripe(dim, stripe) {
+        let (gid, comps) = self.route(tag, block_seed, row_idx);
+        for &comp in comps {
             emit(
                 comp as u64,
                 TaggedRecord {
@@ -281,7 +397,7 @@ impl MrJob for ChainThetaJob {
     }
 
     fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
-        self.reduce_inner(key, records, &mut |row| {
+        self.reduce_inner(key, records, &[], &mut |row| {
             out.push(row);
             true
         })
@@ -293,7 +409,7 @@ impl MrJob for ChainThetaJob {
         records: &[TaggedRecord],
         emit: &mut dyn FnMut(Tuple) -> bool,
     ) -> u64 {
-        self.reduce_inner(key, records, emit)
+        self.reduce_inner(key, records, &[], emit)
     }
 
     fn reduce_examined(&self) -> Option<u64> {

@@ -34,11 +34,16 @@
 //! sizes and survivors, so the simulated clock never depends on the
 //! index. Indexes and buffers are local to one call, so a reduce attempt
 //! the engine retries after a panic reruns bit-identically.
+//!
+//! [`SemiJoin`] is the two-depth case asked only whether a row has a
+//! partner: the chain job's map side uses it to find rows it may count
+//! instead of shipping.
 
 use mwtj_query::theta::{CompiledPredicate, ThetaOp};
 use mwtj_storage::{Tuple, Value};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// A range holding more than `1 / SCAN_FRACTION` of its group walks the
 /// group instead: past that, gathering and re-ordering the hits costs
@@ -120,7 +125,8 @@ fn key_hash<'v>(values: impl Iterator<Item = &'v Value>) -> u64 {
     })
 }
 
-/// One end of a depth's key range: `column + off` of an earlier slot.
+/// What bounds one end of a depth's key range: `column + off` of an
+/// earlier slot.
 #[derive(Debug, Clone, Copy)]
 struct BoundSrc {
     slot: usize,
@@ -138,22 +144,42 @@ impl BoundSrc {
     }
 }
 
-/// The predicates of one depth that bound `own_col + own_off` of that
-/// depth's rows by values the prefix has already bound: `lo <= key`
-/// and/or `key <= hi` (an equality sets both to the same source).
-/// Keys and bounds are formed as `eval_theta` forms its operands
-/// (numeric view plus offset) and compared with `<` over non-NaN
-/// values — `total_cmp`'s order except that it takes `-0.0` for `+0.0`,
-/// and the f64 view of two integers keeps their order non-strictly.
-/// With strict operators widened to their non-strict closure, that
-/// makes the range a superset of what the predicates accept, whether
-/// they compare through `sql_cmp` (zero offsets) or arithmetically.
+/// One end of a depth's key range: `own_col + own` of the depth's row
+/// against `src` of the prefix.
+#[derive(Debug, Clone, Copy)]
+struct End {
+    own: f64,
+    src: BoundSrc,
+}
+
+/// A prefix's key range as resolved ends `(own offset, bound)`: a row
+/// is in range when `own + lo.0 >= lo.1` and `own + hi.0 <= hi.1`.
+type Ends = ((f64, f64), (f64, f64));
+
+/// Is a row whose key column reads `own` inside `ends`? A NaN `own`,
+/// which cannot be ordered, is.
+#[inline]
+fn within((lo, hi): Ends, own: f64) -> bool {
+    !(own + lo.0 < lo.1 || own + hi.0 > hi.1)
+}
+
+/// The predicates of one depth that bound `own_col` of that depth's
+/// rows by values the prefix has already bound: `lo <= own + lo.own`
+/// and/or `own + hi.own <= hi` (an equality sets both ends alike; each
+/// end keeps its own offset, so `y.a + 2 >= x.a AND y.a <= x.a` is one
+/// two-sided band). Keys and bounds are formed as `eval_theta` forms
+/// its operands (numeric view plus offset) and compared with `<` over
+/// non-NaN values — `total_cmp`'s order except that it takes `-0.0` for
+/// `+0.0`, and the f64 view of two integers keeps their order
+/// non-strictly. With strict operators widened to their non-strict
+/// closure, that makes the range a superset of what the predicates
+/// accept, whether they compare through `sql_cmp` (zero offsets) or
+/// arithmetically.
 #[derive(Debug, Clone)]
 struct DepthBound {
     own_col: usize,
-    own_off: f64,
-    lo: Option<BoundSrc>,
-    hi: Option<BoundSrc>,
+    lo: Option<End>,
+    hi: Option<End>,
 }
 
 impl DepthBound {
@@ -167,45 +193,42 @@ impl DepthBound {
             // Orient as `own op bound`.
             let left = (p.left_rel, p.left_col, p.left_off);
             let right = (p.right_rel, p.right_col, p.right_off);
-            let ((_, own_col, own_off), (slot, col, off), op) = if p.right_rel == depth {
+            let ((_, own_col, own), (slot, col, off), op) = if p.right_rel == depth {
                 (right, left, p.op.flip())
             } else {
                 (left, right, p.op)
             };
-            let src = BoundSrc { slot, col, off };
-            if src.slot >= depth
-                || op == ThetaOp::Ne
-                || !own_off.is_finite()
-                || !src.off.is_finite()
-            {
+            let end = End {
+                own,
+                src: BoundSrc { slot, col, off },
+            };
+            if slot >= depth || op == ThetaOp::Ne || !own.is_finite() || !off.is_finite() {
                 continue;
             }
             if op == ThetaOp::Eq {
                 eq.get_or_insert(DepthBound {
                     own_col,
-                    own_off,
-                    lo: Some(src),
-                    hi: Some(src),
+                    lo: Some(end),
+                    hi: Some(end),
                 });
                 continue;
             }
             let at = bands
                 .iter()
-                .position(|b| b.own_col == own_col && b.own_off == own_off)
+                .position(|b| b.own_col == own_col)
                 .unwrap_or_else(|| {
                     bands.push(DepthBound {
                         own_col,
-                        own_off,
                         lo: None,
                         hi: None,
                     });
                     bands.len() - 1
                 });
-            let end = match op {
+            let side = match op {
                 ThetaOp::Lt | ThetaOp::Le => &mut bands[at].hi,
                 _ => &mut bands[at].lo,
             };
-            end.get_or_insert(src);
+            side.get_or_insert(end);
         }
         eq.or_else(|| {
             let two_sided = bands.iter().position(|b| b.lo.is_some() && b.hi.is_some());
@@ -213,19 +236,58 @@ impl DepthBound {
         })
     }
 
+    /// The prefix's key range and the span of the sorted `order` inside
+    /// it, or `None` when an end cannot be ordered (NULL, string or NaN)
+    /// — a prefix that may then join any row.
+    fn span(&self, order: &[i64], stack: &[&Tuple]) -> Option<(Ends, Range<usize>)> {
+        let end = |e: Option<End>, open: f64| match e {
+            None => Some((0.0, open)),
+            Some(e) => Some((e.own, e.src.key(stack)?)),
+        };
+        let (lo, hi) = (
+            end(self.lo, f64::NEG_INFINITY)?,
+            end(self.hi, f64::INFINITY)?,
+        );
+        // Adding a finite offset keeps `<=`, so `own + off` ascends with
+        // `order` and each end cuts it once. Search only where the range
+        // cuts into the group's key span, and for the upper end only
+        // when the first key past the lower end is in range.
+        let key = |k: i64, off: f64| unordered(k) + off;
+        let empty = Some(((lo, hi), 0..0));
+        let (Some(&min), Some(&max)) = (order.first(), order.last()) else {
+            return empty;
+        };
+        if key(max, lo.0) < lo.1 {
+            return empty;
+        }
+        let from = match key(min, lo.0) < lo.1 {
+            true => order.partition_point(|&k| key(k, lo.0) < lo.1),
+            false => 0,
+        };
+        let to = if key(order[from], hi.0) > hi.1 {
+            from
+        } else if key(max, hi.0) <= hi.1 {
+            order.len()
+        } else {
+            from + order[from..].partition_point(|&k| key(k, hi.0) <= hi.1)
+        };
+        Some(((lo, hi), from..to))
+    }
+
     /// Index one group: `(key, position)` of every row with a numeric,
-    /// non-NaN key, sorted by [`ordered`] key; NaN keys, which `<` cannot
-    /// place, go on a tail examined for every prefix. NULL and string
-    /// keys are left out: NULL satisfies no predicate, and a string only
-    /// one whose other side is a string too — a prefix [`Descent`]
-    /// answers with the whole group. `keys` holds every position's key
-    /// for the walk's pre-filter, NaN where the key cannot be ordered.
+    /// non-NaN key column, sorted by [`ordered`] value; NaN values,
+    /// which `<` cannot place, go on a tail examined for every prefix.
+    /// NULL and string keys are left out: NULL satisfies no predicate,
+    /// and a string only one whose other side is a string too — a
+    /// prefix [`Descent`] answers with the whole group. `keys` holds
+    /// every position's value for the walk's pre-filter, NaN where it
+    /// cannot be ordered.
     fn index(&self, group: &[&Tuple]) -> Index {
         let mut sorted = Vec::with_capacity(group.len());
         let mut tail = Vec::new();
         let mut keys = Vec::with_capacity(group.len());
         for (pos, row) in (0u32..).zip(group) {
-            let key = row.get(self.own_col).as_numeric().map(|v| v + self.own_off);
+            let key = row.get(self.own_col).as_numeric();
             match key {
                 Some(k) if k.is_nan() => tail.push(pos),
                 Some(k) => sorted.push((ordered(k), pos)),
@@ -249,6 +311,11 @@ impl DepthBound {
 fn ordered(key: f64) -> i64 {
     let bits = (key + 0.0).to_bits() as i64; // -0.0 + 0.0 = +0.0
     bits ^ (((bits >> 63) as u64 >> 1) as i64)
+}
+
+/// The float an [`ordered`] key stands for (`+0.0` for either zero).
+fn unordered(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64 >> 1) as i64)) as u64)
 }
 
 /// One column of a depth's equality key: `own` of the depth's rows
@@ -441,15 +508,19 @@ impl Descent {
         self.descend_with(groups, false, leaf)
     }
 
+    /// A depth whose group is empty ends every prefix that reaches it,
+    /// but the depths above it still report their survivors: a chain
+    /// job prices them against the rows it counted instead of shipping.
     fn descend_with(&self, groups: &[&[&Tuple]], indexed: bool, leaf: &mut Leaf<'_>) -> Visit {
         let n = groups.len();
         let visit = Visit {
             survivors: vec![0; n],
             examined: 0,
         };
-        if groups.iter().any(|g| g.is_empty()) {
-            return visit; // nothing joins an empty group
-        }
+        // Slots past the bound depth are never read; any row fills them.
+        let Some(&filler) = groups.first().and_then(|g| g.first()) else {
+            return visit; // nothing survives an empty first depth
+        };
         for g in groups {
             u32::try_from(g.len()).expect("a reduce group holds fewer than 2^32 rows");
         }
@@ -467,7 +538,7 @@ impl Descent {
             .collect();
         let mut cx = Cursor {
             groups,
-            stack: groups.iter().map(|g| g[0]).collect(),
+            stack: vec![filler; n],
             at: vec![0; n],
             leaf,
             stop: false,
@@ -533,31 +604,8 @@ impl Descent {
                     keys,
                 },
             ) => {
-                let end = |src: Option<BoundSrc>, open: f64| match src {
-                    None => Some(open),
-                    Some(src) => src.key(&cx.stack),
-                };
-                let (lo, hi) = (
-                    end(bound.lo, f64::NEG_INFINITY)?,
-                    end(bound.hi, f64::INFINITY)?,
-                );
-                // Search only where the range cuts into the group's key
-                // span: no sorted key is NaN, so its ends bound them all.
-                let (olo, ohi) = (ordered(lo), ordered(hi));
-                let (from, to) = match order.first().zip(order.last()) {
-                    Some((&min, &max)) if olo <= max && ohi >= min => (
-                        match olo > min {
-                            true => order.partition_point(|&k| k < olo),
-                            false => 0,
-                        },
-                        match ohi < max {
-                            true => order.partition_point(|&k| k <= ohi),
-                            false => order.len(),
-                        },
-                    ),
-                    _ => (0, 0),
-                };
-                let in_range = &positions[from.min(to)..to];
+                let (ends, span) = bound.span(order, &cx.stack)?;
+                let in_range = &positions[span];
                 if in_range.is_empty() {
                     return Some(tail);
                 }
@@ -565,7 +613,7 @@ impl Descent {
                 if (in_range.len() + tail.len()) * SCAN_FRACTION > keys.len() {
                     // Wide: walk the group, skipping keys outside the
                     // range (NaN keys, which cannot be ordered, pass).
-                    let keep = |&(_, &k): &(u32, &f64)| !(k < lo || k > hi);
+                    let keep = |&(_, &k): &(u32, &f64)| within(ends, k);
                     hits.extend((0..).zip(keys).filter(keep).map(|(pos, _)| pos));
                 } else {
                     hits.extend_from_slice(in_range);
@@ -587,6 +635,69 @@ impl Descent {
                 .iter()
                 .all(|&(l, r, w)| stack[0].values()[l..l + w] == stack[1].values()[r..r + w]))
             && self.preds[depth].iter().all(|p| p.eval(stack))
+    }
+}
+
+/// An exact semi-join test against one fixed group: does a row join any
+/// of its rows? It is the two-depth descent with the probed row alone at
+/// depth 0 and the group, indexed once, at depth 1 — the same index and
+/// the same [`Descent::accepts`] a reduce call runs, so "joins nothing"
+/// means every descent would reject the row against every row of the
+/// group, whatever NULLs, NaNs and strings it holds. Read-only once
+/// built, so map tasks share it.
+pub(crate) struct SemiJoin<'r> {
+    descent: Descent,
+    rows: Vec<&'r Tuple>,
+    index: Index,
+}
+
+impl<'r> SemiJoin<'r> {
+    /// Index `rows` (depth 1) for probes by rows of depth 0 under
+    /// `preds`, or `None` when the predicates give the group no index:
+    /// each probe would then walk the whole group.
+    pub(crate) fn new(
+        preds: &[CompiledPredicate],
+        rows: impl Iterator<Item = &'r Tuple>,
+    ) -> Option<Self> {
+        let descent = Descent::new(2, preds, Vec::new());
+        if descent.kind(1) == KernelKind::Scan {
+            return None;
+        }
+        let rows: Vec<&Tuple> = rows.collect();
+        let index = match rows.len() > SCAN_FRACTION {
+            true => descent.probes[1].index(&rows),
+            false => Index::Scan,
+        };
+        Some(SemiJoin {
+            descent,
+            rows,
+            index,
+        })
+    }
+
+    /// Does `row` join at least one row of the group?
+    pub(crate) fn joins(&self, row: &Tuple) -> bool {
+        let prefix = [row];
+        let accepts = |pos: &u32| self.descent.accepts(1, &[row, self.rows[*pos as usize]]);
+        match (&self.descent.probes[1], &self.index) {
+            (Probe::Hash(key), Index::Hash(table)) => {
+                let h = key_hash(key.iter().map(|k| prefix[k.slot].get(k.col)));
+                table.get(&h).is_some_and(|hits| hits.iter().any(accepts))
+            }
+            (
+                Probe::Range(bound),
+                Index::Range {
+                    order,
+                    positions,
+                    tail,
+                    ..
+                },
+            ) => match bound.span(order, &prefix) {
+                Some((_, span)) => positions[span].iter().chain(tail).any(accepts),
+                None => (0..self.rows.len() as u32).any(|pos| accepts(&pos)),
+            },
+            _ => (0..self.rows.len() as u32).any(|pos| accepts(&pos)),
+        }
     }
 }
 
@@ -615,32 +726,34 @@ mod tests {
     }
 
     /// Bound selection per depth: an equality beats a band, a column
-    /// bounded on both sides beats a one-sided bound, and `<>`,
-    /// non-finite offsets and predicates between later depths give
-    /// nothing to search on.
+    /// bounded on both sides — whatever offset each side puts on it —
+    /// beats a one-sided bound, and `<>`, non-finite offsets and
+    /// predicates between later depths give nothing to search on.
     #[test]
     fn depth_bounds_prefer_equality_then_two_sided_bands() {
         let one_sided = pred(0, 1, 0.0, ThetaOp::Lt, 1, 1, 0.0); // x.b < y.b
         let lower = pred(0, 0, 0.0, ThetaOp::Le, 1, 0, 0.0); // x.a <= y.a
         let upper = pred(1, 0, 0.0, ThetaOp::Le, 0, 0, 2.0); // y.a <= x.a + 2
         let equal = pred(1, 1, 1.0, ThetaOp::Eq, 0, 0, 0.0); // y.b + 1 = x.a
+        let own_lower = pred(1, 0, 2.0, ThetaOp::Ge, 0, 0, 0.0); // y.a + 2 >= x.a
+        let own_upper = pred(1, 0, 0.0, ThetaOp::Le, 0, 0, 0.0); // y.a <= x.a
         let chosen = |preds: &[&CompiledPredicate]| {
             let b = DepthBound::choose(1, preds).expect("a bound");
-            (
-                b.own_col,
-                b.own_off,
-                b.lo.map(|s| s.off),
-                b.hi.map(|s| s.off),
-            )
+            let end = |e: Option<End>| e.map(|e| (e.own, e.src.off));
+            (b.own_col, end(b.lo), end(b.hi))
         };
-        assert_eq!(chosen(&[&one_sided]), (1, 0.0, Some(0.0), None));
+        assert_eq!(chosen(&[&one_sided]), (1, Some((0.0, 0.0)), None));
         assert_eq!(
             chosen(&[&one_sided, &lower, &upper]),
-            (0, 0.0, Some(0.0), Some(2.0))
+            (0, Some((0.0, 0.0)), Some((0.0, 2.0)))
+        );
+        assert_eq!(
+            chosen(&[&one_sided, &own_lower, &own_upper]),
+            (0, Some((2.0, 0.0)), Some((0.0, 0.0)))
         );
         assert_eq!(
             chosen(&[&one_sided, &lower, &upper, &equal]),
-            (1, 1.0, Some(0.0), Some(0.0))
+            (1, Some((1.0, 0.0)), Some((1.0, 0.0)))
         );
         let unusable = [
             pred(0, 0, 0.0, ThetaOp::Ne, 1, 0, 0.0),

@@ -135,6 +135,10 @@ impl PairKernel {
     /// and positions, left then right — in the same order, stopping
     /// when it returns `false`. Returns the candidates examined.
     pub(crate) fn visit(&self, lefts: &[&Tuple], rights: &[&Tuple], leaf: &mut Leaf<'_>) -> u64 {
+        // A pair reads no survivor counts, so an empty side ends the call.
+        if rights.is_empty() {
+            return 0;
+        }
         self.descent.run(&[lefts, rights], leaf).examined
     }
 

@@ -8,7 +8,9 @@
 //! The chain reducer has its own differential target at the bottom:
 //! [`ChainThetaJob`]'s indexed descent against its whole-group scan
 //! (`reduce_scan_reference`) — rows, row **order** and the priced
-//! candidate count, per reduce component.
+//! candidate count, per reduce component — and, through the MapReduce
+//! engine, the job against a wrapper that hides its dead-row filter:
+//! rows, row order and every priced figure, buffered and streamed.
 //!
 //! Instances randomise the schemas (arity and per-column types over
 //! Int/Double/Str), the predicates (`<`, `<=`, `=`, `!=`, and the
@@ -20,12 +22,16 @@ use mwtj_hilbert::PartitionStrategy;
 use mwtj_join::kernel::{KernelKind, PairKernel};
 use mwtj_join::oracle::{canonicalize, oracle_join};
 use mwtj_join::{ChainThetaJob, IntermediateShape};
-use mwtj_mapreduce::{MrJob, TaggedRecord};
+use mwtj_mapreduce::{
+    BatchSink, ClusterConfig, Dfs, Emit, Engine, FaultPlan, InputSpec, MrJob, RowBatch, SinkSpec,
+    SkipFilter, TagZones, TaggedRecord,
+};
 use mwtj_query::theta::{ColExpr, CompiledPredicate};
 use mwtj_query::{MultiwayQuery, QueryBuilder, ThetaOp};
 use mwtj_storage::{DataType, Relation, Schema, Tuple, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Skew a raw draw toward 0: min of two 0..16 digits — collisions and
 /// long equal-key runs are the interesting regime for hash and band.
@@ -276,13 +282,126 @@ fn assert_range_equals_scan(
     }
 }
 
+/// The chain job without its dead-row filter: everything but
+/// [`MrJob::dead_rows`] delegates, so the engine ships every row.
+struct ShipAll<'j>(&'j ChainThetaJob);
+
+impl MrJob for ShipAll<'_> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn output_schema(&self) -> Schema {
+        self.0.output_schema()
+    }
+
+    fn map(&self, tag: u8, row: &Tuple, block_seed: u64, row_idx: usize, emit: &mut Emit<'_>) {
+        self.0.map(tag, row, block_seed, row_idx, emit)
+    }
+
+    fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
+        self.0.reduce(key, records, out)
+    }
+
+    fn reduce_streamed(
+        &self,
+        key: u64,
+        records: &[TaggedRecord],
+        emit: &mut dyn FnMut(Tuple) -> bool,
+    ) -> u64 {
+        self.0.reduce_streamed(key, records, emit)
+    }
+
+    fn skip_filter(&self, zones: &TagZones) -> Option<Box<dyn SkipFilter>> {
+        self.0.skip_filter(zones)
+    }
+}
+
+/// Collects a streamed run's batches.
+#[derive(Default)]
+struct Collect(Mutex<Vec<Tuple>>);
+
+impl BatchSink for Collect {
+    fn send(&self, batch: RowBatch) -> bool {
+        self.0.lock().unwrap().extend(batch.rows);
+        true
+    }
+}
+
+/// One engine run, buffered or streamed: its rows as text and every
+/// figure the simulated clock prices.
+fn engine_run(
+    engine: &Engine,
+    job: &dyn MrJob,
+    inputs: &[InputSpec],
+    reducers: u32,
+    streamed: bool,
+) -> (String, [u64; 5], [f64; 2]) {
+    let none = FaultPlan::none();
+    let (rows, m) = if streamed {
+        let sink = Arc::new(Collect::default());
+        let spec = SinkSpec::new(sink.clone(), 3);
+        let run = engine
+            .try_run_streamed(job, inputs, 16, reducers, &none, &spec, true, None)
+            .expect("streamed run");
+        let rows = std::mem::take(&mut *sink.0.lock().unwrap());
+        (rows, run.metrics)
+    } else {
+        let run = engine
+            .try_run_with(job, inputs, 16, reducers, None, &none, true, None)
+            .expect("buffered run");
+        (run.output.into_rows(), run.metrics)
+    };
+    let priced = [
+        m.reduce_candidates,
+        m.map_output_records,
+        m.map_output_bytes,
+        m.reduce_input_max_bytes,
+        m.output_bytes,
+    ];
+    let clock = [m.reduce_input_mean_bytes, m.sim_total_secs];
+    (format!("{rows:?}"), priced, clock)
+}
+
+/// The job through the engine, with and without its dead-row filter:
+/// the same rows in the same order, and the same priced figures,
+/// buffered and streamed.
+fn assert_elision_is_invisible(
+    job: &ChainThetaJob,
+    rels: &[Vec<Tuple>],
+    context: &dyn Fn() -> String,
+) {
+    let mut cfg = ClusterConfig::default();
+    cfg.params.block_bytes = 256; // several map tasks per relation
+    let dfs = Dfs::new();
+    let mut inputs = Vec::new();
+    for (dim, &rel) in job.dims().iter().enumerate() {
+        let schema = Schema::from_pairs("r", &[("c0", DataType::Double), ("c1", DataType::Double)]);
+        let relation = Relation::from_rows_unchecked(schema, rels[rel].clone());
+        dfs.put_relation(&format!("rel{rel}"), &relation, &cfg);
+        inputs.push(InputSpec::new(format!("rel{rel}"), dim as u8));
+    }
+    let engine = Engine::new(cfg, dfs);
+    for streamed in [false, true] {
+        let counted = engine_run(&engine, job, &inputs, job.reducers(), streamed);
+        let shipped = engine_run(&engine, &ShipAll(job), &inputs, job.reducers(), streamed);
+        assert!(
+            counted == shipped,
+            "dead-row elision is visible (streamed={streamed})\n counted: {counted:?}\n shipped: {shipped:?}\n{}",
+            context()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// 2–4-dimension chains over untyped data, every predicate shape the
     /// indexes distinguish, under every partitioning the suite uses:
     /// the indexed descent returns the scan's rows, in the scan's
-    /// order, and prices the scan's work.
+    /// order, and prices the scan's work — and through the engine, a
+    /// run that counts dead rows instead of shipping them is
+    /// indistinguishable from one that ships them.
     #[test]
     fn chain_range_descent_equals_scan_reference(
         ndims in 2usize..5,
@@ -364,9 +483,9 @@ proptest! {
                         });
                     }
                 }
-                assert_range_equals_scan(&job, &groups, &|| {
-                    format!("query: {q}\nk_r={k_r} strategy={strategy:?}\ndata: {rels:#?}")
-                });
+                let context = || format!("query: {q}\nk_r={k_r} strategy={strategy:?}\ndata: {rels:#?}");
+                assert_range_equals_scan(&job, &groups, &context);
+                assert_elision_is_invisible(&job, &rels, &context);
             }
         }
     }

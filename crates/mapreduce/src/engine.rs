@@ -8,7 +8,7 @@ use crate::config::ClusterConfig;
 use crate::dfs::{logical_file_name, Dfs};
 use crate::error::ExecError;
 use crate::faults::{FaultPlan, TaskKind};
-use crate::job::{InputSpec, MrJob, SkipFilter, TagZones, TaggedRecord};
+use crate::job::{DeadRows, InputSpec, KeptRows, MrJob, SkipFilter, TagZones, TaggedRecord};
 use crate::metrics::JobMetrics;
 use crate::sink::{RowBatch, SinkSpec};
 use mwtj_storage::{Relation, Tuple};
@@ -61,13 +61,38 @@ struct ReduceTaskOut {
     stats: TaskStats,
 }
 
+/// What every reduce task of one run shares.
+#[derive(Clone, Copy)]
+struct Reduce<'a> {
+    job: &'a dyn MrJob,
+    /// The job's dead-row filter; when present, its counted reduce runs
+    /// once per reducer in place of the job's per-group reduce.
+    dead: Option<&'a dyn DeadRows>,
+    counted: &'a Counted,
+    reducers: u32,
+    faults: &'a FaultPlan,
+    cancel: Option<&'a CancelToken>,
+}
+
+impl Reduce<'_> {
+    /// Reducer `r`'s input bytes: its shipped records and those counted
+    /// for it.
+    fn in_bytes(&self, records: &[TaggedRecord], r: usize) -> u64 {
+        records.iter().map(|x| x.wire_bytes() as u64).sum::<u64>() + self.counted.bytes_of(r)
+    }
+}
+
 /// Per-task result slot for the parallel map phase (written once by
 /// the worker that claims the task).
 type MapTaskSlot = Mutex<Option<Result<(MapTaskOut, TaskStats), ExecError>>>;
 
-/// What one surviving map attempt hands back: `(routed records,
-/// output bytes, output records, rows pruned, attempt stats)`.
-type MapAttemptOut = (Vec<(u32, TaggedRecord)>, u64, u64, u64, TaskStats);
+/// One map task: a kept input block, its tag and its seed.
+struct MapTask {
+    tag: u8,
+    rows: std::sync::Arc<Vec<Tuple>>,
+    bytes: usize,
+    seed: u64,
+}
 
 /// Outcome of one executed map task, before shuffle pricing.
 struct MapTaskOut {
@@ -76,12 +101,61 @@ struct MapTaskOut {
     /// per task) keeps map-side allocation O(1) per task regardless of
     /// the reduce fan-out.
     records: Vec<(u32, TaggedRecord)>,
+    /// Records of dead rows, priced but not moved.
+    counted: Counted,
     input_bytes: u64,
     input_records: u64,
+    /// Shipped and counted records alike.
     output_bytes: u64,
     output_records: u64,
     /// Rows whose map call the skip filter dropped.
     rows_pruned: u64,
+}
+
+/// Records a [`DeadRows`] filter counted instead of shipping: per
+/// reducer, how many of each input tag and their wire bytes. Empty when
+/// the job offers no filter.
+#[derive(Default)]
+struct Counted {
+    tags: usize,
+    /// Reducer-major: `records[r * tags + tag]`.
+    records: Vec<u64>,
+    bytes: Vec<u64>,
+}
+
+impl Counted {
+    fn new(reducers: usize, tags: usize) -> Self {
+        Counted {
+            tags,
+            records: vec![0; reducers * tags],
+            bytes: vec![0; reducers],
+        }
+    }
+
+    fn add(&mut self, r: usize, tag: u8, bytes: usize) {
+        self.records[r * self.tags + tag as usize] += 1;
+        self.bytes[r] += bytes as u64;
+    }
+
+    fn merge(&mut self, other: &Counted) {
+        for (a, b) in self.records.iter_mut().zip(&other.records) {
+            *a += b;
+        }
+        for (a, b) in self.bytes.iter_mut().zip(&other.bytes) {
+            *a += b;
+        }
+    }
+
+    /// Reducer `r`'s counted records, per tag.
+    fn of(&self, r: usize) -> &[u64] {
+        self.records
+            .get(r * self.tags..(r + 1) * self.tags)
+            .unwrap_or(&[])
+    }
+
+    fn bytes_of(&self, r: usize) -> u64 {
+        self.bytes.get(r).copied().unwrap_or(0)
+    }
 }
 
 thread_local! {
@@ -337,7 +411,7 @@ impl Engine {
             None
         };
         let skipf: Option<&dyn SkipFilter> = filter.as_deref();
-        let mut tasks: Vec<(u8, std::sync::Arc<Vec<Tuple>>, usize, u64)> = Vec::new();
+        let mut tasks: Vec<MapTask> = Vec::new();
         let mut tag_ord = [0usize; 256];
         let mut zone_blocks = 0u64;
         let mut zone_blocks_pruned = 0u64;
@@ -358,11 +432,28 @@ impl Engine {
                         continue;
                     }
                 }
-                let seed = block_seed(&job.name(), &spec.file, bi as u64);
-                tasks.push((spec.tag, block.rows.clone(), block.bytes, seed));
+                tasks.push(MapTask {
+                    tag: spec.tag,
+                    rows: std::sync::Arc::clone(&block.rows),
+                    bytes: block.bytes,
+                    seed: block_seed(&job.name(), &spec.file, bi as u64),
+                });
             }
         }
         let m = tasks.len().max(1) as u32;
+        // Dead-row routing: over the rows that reach a map call, the job
+        // may prove some unable to join (skipping on or off). Their
+        // records are counted per reducer and tag, not built or moved,
+        // and every priced figure below includes them.
+        let dead_filter = {
+            let mut kept = KeptRows::new(skipf);
+            for task in &tasks {
+                kept.push(task.tag, &task.rows);
+            }
+            job.dead_rows(&kept)
+        };
+        let dead: Option<&dyn DeadRows> = dead_filter.as_deref();
+        let n_tags = inputs.iter().map(|s| s.tag as usize + 1).max().unwrap_or(0);
 
         // ---- map phase (real, parallel on host, per-task retries) ----
         // Every task runs a bounded attempt loop: a `FaultPlan`-selected
@@ -388,25 +479,15 @@ impl Engine {
                     if i >= tasks.len() || abort_all.load(Ordering::Relaxed) {
                         break;
                     }
-                    let (tag, rows, bytes, seed) =
-                        (tasks[i].0, tasks[i].1.clone(), tasks[i].2, tasks[i].3);
                     let outcome = run_map_task(
-                        job, tag, &rows, seed, reducers, skipf, faults, i as u32, cancel,
-                    )
-                    .map(
-                        |(records, out_bytes, out_records, rows_pruned, stats)| {
-                            (
-                                MapTaskOut {
-                                    records,
-                                    input_bytes: bytes as u64,
-                                    input_records: rows.len() as u64,
-                                    output_bytes: out_bytes,
-                                    output_records: out_records,
-                                    rows_pruned,
-                                },
-                                stats,
-                            )
-                        },
+                        job,
+                        &tasks[i],
+                        reducers,
+                        skipf,
+                        dead.map(|d| (d, n_tags)),
+                        faults,
+                        i as u32,
+                        cancel,
                     );
                     if outcome.is_err() {
                         abort_all.store(true, Ordering::Relaxed);
@@ -478,20 +559,28 @@ impl Engine {
         // records in map-task order, then emit order within a task —
         // deterministic regardless of which host thread ran which task.
         let mut reducer_inputs: Vec<Vec<TaggedRecord>> = (0..n_red).map(|_| Vec::new()).collect();
+        let mut counted = match dead {
+            Some(_) => Counted::new(n_red, n_tags),
+            None => Counted::default(),
+        };
         let mut input_bytes = 0u64;
         let mut input_records = 0u64;
         let mut map_output_bytes = 0u64;
         let mut map_output_records = 0u64;
+        let mut shipped_records = 0u64;
         for (mo, _) in map_outs {
             input_bytes += mo.input_bytes;
             input_records += mo.input_records;
             map_output_bytes += mo.output_bytes;
             map_output_records += mo.output_records;
             zone_rows_pruned += mo.rows_pruned;
+            counted.merge(&mo.counted);
+            shipped_records += mo.records.len() as u64;
             for (r, rec) in mo.records {
                 reducer_inputs[r as usize].push(rec);
             }
         }
+        let shuffle_elided = map_output_records - shipped_records;
         let (zone_pairs, zone_pairs_pruned) = skipf.map_or((0, 0), |f| f.pair_counts());
         let shuffle_done = Instant::now();
 
@@ -509,10 +598,18 @@ impl Engine {
         // what serialises them; the simulated clock never sees host
         // parallelism either way).
         let examined_before = job.reduce_examined();
+        let reduce = Reduce {
+            job,
+            dead,
+            counted: &counted,
+            reducers,
+            faults,
+            cancel,
+        };
         let reduce_outs: Vec<ReduceTaskOut> = if let Some(spec) = sink {
-            self.reduce_streamed_phase(job, reducer_inputs, reducers, spec, faults, cancel)?
+            self.reduce_streamed_phase(&reduce, reducer_inputs, spec)?
         } else {
-            self.reduce_parallel_phase(job, reducer_inputs, reducers, faults, cancel)?
+            self.reduce_parallel_phase(&reduce, reducer_inputs)?
         };
 
         // ---- simulated reduce phase ----
@@ -581,6 +678,7 @@ impl Engine {
             input_records,
             map_output_bytes,
             map_output_records,
+            shuffle_elided,
             reduce_input_max_bytes: reduce_input_max,
             reduce_input_mean_bytes: reduce_input_sum as f64 / n_red as f64,
             reduce_candidates,
@@ -620,12 +718,10 @@ impl Engine {
     /// starts with a fresh output buffer.
     fn reduce_parallel_phase(
         &self,
-        job: &dyn MrJob,
+        reduce: &Reduce<'_>,
         reducer_inputs: Vec<Vec<TaggedRecord>>,
-        reducers: u32,
-        faults: &FaultPlan,
-        cancel: Option<&CancelToken>,
     ) -> Result<Vec<ReduceTaskOut>, ExecError> {
+        let reducers = reduce.reducers;
         let n_red = reducer_inputs.len();
         let reduce_results: Vec<Mutex<Option<Result<ReduceTaskOut, ExecError>>>> =
             (0..n_red).map(|_| Mutex::new(None)).collect();
@@ -642,14 +738,14 @@ impl Engine {
                         break;
                     }
                     let mut records = std::mem::take(&mut *reducer_inputs[r].lock());
-                    let in_bytes: u64 = records.iter().map(|x| x.wire_bytes() as u64).sum();
+                    let in_bytes = reduce.in_bytes(&records, r);
                     // Stable sort = the sort phase; keys then run in
                     // ascending order with arrival order preserved
                     // within each group, exactly as the previous
                     // hash-then-sort-keys grouping produced.
                     records.sort_by_key(|rec| rec_key(rec, reducers, r));
-                    let outcome = run_reduce_task(job, &records, reducers, r, faults, cancel).map(
-                        |((out, candidates), stats)| {
+                    let outcome =
+                        run_reduce_task(reduce, &records, r).map(|((out, candidates), stats)| {
                             let out_bytes: u64 = out.iter().map(|t| t.encoded_len() as u64).sum();
                             let out_records = out.len() as u64;
                             ReduceTaskOut {
@@ -660,8 +756,7 @@ impl Engine {
                                 out_records,
                                 stats,
                             }
-                        },
-                    );
+                        });
                     if outcome.is_err() {
                         abort_all.store(true, Ordering::Relaxed);
                     }
@@ -707,18 +802,22 @@ impl Engine {
     /// so the task fails immediately with a typed `TaskFailed`.
     fn reduce_streamed_phase(
         &self,
-        job: &dyn MrJob,
+        reduce: &Reduce<'_>,
         reducer_inputs: Vec<Vec<TaggedRecord>>,
-        reducers: u32,
         spec: &SinkSpec,
-        faults: &FaultPlan,
-        cancel: Option<&CancelToken>,
     ) -> Result<Vec<ReduceTaskOut>, ExecError> {
+        let Reduce {
+            job,
+            reducers,
+            faults,
+            cancel,
+            ..
+        } = *reduce;
         let cap = spec.batch_rows.max(1);
         let mut outs = Vec::with_capacity(reducer_inputs.len());
         let mut batch: Vec<Tuple> = Vec::with_capacity(cap);
         for (r, mut records) in reducer_inputs.into_iter().enumerate() {
-            let in_bytes: u64 = records.iter().map(|x| x.wire_bytes() as u64).sum();
+            let in_bytes = reduce.in_bytes(&records, r);
             records.sort_by_key(|rec| rec_key(rec, reducers, r));
             let mut stats = TaskStats::default();
             let max_attempts = faults.max_attempts.max(1);
@@ -743,61 +842,63 @@ impl Engine {
                     }
                     continue;
                 }
-                let mut cancelled = false;
-                let mut deadline_hit = false;
+                let cancelled = Cell::new(false);
+                let deadline_hit = Cell::new(false);
                 let mut out_bytes = 0u64;
                 let mut out_records = 0u64;
                 let mut candidates = 0u64;
                 let attempt_result = run_attempt(|| {
+                    let emit = &mut |row: Tuple| {
+                        if cancelled.get() || deadline_hit.get() {
+                            return false;
+                        }
+                        out_bytes += row.encoded_len() as u64;
+                        out_records += 1;
+                        batch.push(row);
+                        if batch.len() >= cap {
+                            if let Some(token) = cancel {
+                                match token.check() {
+                                    Ok(()) => {}
+                                    Err(ExecError::DeadlineExceeded) => {
+                                        deadline_hit.set(true);
+                                        return false;
+                                    }
+                                    Err(_) => {
+                                        cancelled.set(true);
+                                        return false;
+                                    }
+                                }
+                            }
+                            if !spec.sink.send(RowBatch {
+                                rows: std::mem::take(&mut batch),
+                            }) {
+                                cancelled.set(true);
+                                return false;
+                            }
+                        }
+                        true
+                    };
+                    if let Some(dead) = reduce.dead {
+                        candidates = dead.reduce(r as u64, &records, reduce.counted.of(r), emit);
+                        return Ok(());
+                    }
                     let mut start = 0usize;
-                    while start < records.len() {
+                    while start < records.len() && !cancelled.get() && !deadline_hit.get() {
                         let k = rec_key(&records[start], reducers, r);
                         let end = group_end(&records, start, reducers, r);
                         candidates = candidates.saturating_add(job.reduce_streamed(
                             k,
                             &records[start..end],
-                            &mut |row: Tuple| {
-                                if cancelled || deadline_hit {
-                                    return false;
-                                }
-                                out_bytes += row.encoded_len() as u64;
-                                out_records += 1;
-                                batch.push(row);
-                                if batch.len() >= cap {
-                                    if let Some(token) = cancel {
-                                        match token.check() {
-                                            Ok(()) => {}
-                                            Err(ExecError::DeadlineExceeded) => {
-                                                deadline_hit = true;
-                                                return false;
-                                            }
-                                            Err(_) => {
-                                                cancelled = true;
-                                                return false;
-                                            }
-                                        }
-                                    }
-                                    if !spec.sink.send(RowBatch {
-                                        rows: std::mem::take(&mut batch),
-                                    }) {
-                                        cancelled = true;
-                                        return false;
-                                    }
-                                }
-                                true
-                            },
+                            emit,
                         ));
-                        if cancelled || deadline_hit {
-                            break;
-                        }
                         start = end;
                     }
                     Ok(())
                 });
-                if deadline_hit {
+                if deadline_hit.get() {
                     return Err(ExecError::DeadlineExceeded);
                 }
-                if cancelled {
+                if cancelled.get() {
                     return Err(ExecError::Cancelled);
                 }
                 match attempt_result {
@@ -850,27 +951,33 @@ fn abort_injected(stage: &str, task: u32, attempt: u32, panic_mode: bool) -> Res
 }
 
 /// Execute one map task under the bounded retry loop. Returns the
-/// surviving attempt's `(records, out_bytes, out_records, rows_pruned)`
-/// plus attempt accounting, or [`ExecError::TaskFailed`] once the
-/// attempt budget is spent.
+/// surviving attempt's output plus attempt accounting, or
+/// [`ExecError::TaskFailed`] once the attempt budget is spent. Under a
+/// dead-row filter (`dead`, with the run's tag count) a dead row's
+/// records are counted, not emitted.
 ///
 /// A `FaultPlan`-selected attempt really aborts halfway through its
 /// input block — an injected `Err` or a deliberate panic, chosen by an
 /// independent hash stream — and the retry restarts from the untouched
-/// `Arc` block data with fresh output buffers, so the surviving
-/// attempt's emissions are bit-identical to a fault-free run.
+/// `Arc` block data with fresh output buffers and counts, so the
+/// surviving attempt's emissions are bit-identical to a fault-free run.
 #[allow(clippy::too_many_arguments)]
 fn run_map_task(
     job: &dyn MrJob,
-    tag: u8,
-    rows: &[Tuple],
-    seed: u64,
+    map_task: &MapTask,
     reducers: u32,
     skipf: Option<&dyn SkipFilter>,
+    dead: Option<(&dyn DeadRows, usize)>,
     faults: &FaultPlan,
     task: u32,
     cancel: Option<&CancelToken>,
-) -> Result<MapAttemptOut, ExecError> {
+) -> Result<(MapTaskOut, TaskStats), ExecError> {
+    let MapTask {
+        tag,
+        ref rows,
+        bytes,
+        seed,
+    } = *map_task;
     let max_attempts = faults.max_attempts.max(1);
     let mut stats = TaskStats::default();
     loop {
@@ -888,12 +995,22 @@ fn run_map_task(
         let mut out_bytes = 0u64;
         let mut out_records = 0u64;
         let mut rows_pruned = 0u64;
+        let mut counted = dead.map_or_else(Counted::default, |(_, tags)| {
+            Counted::new(reducers as usize, tags)
+        });
+        let mut counted_bytes = 0u64;
+        let mut counted_records = 0u64;
         let attempt_result = run_attempt(|| {
             let mut emit = |key: u64, rec: TaggedRecord| {
                 let r = (key % reducers as u64) as u32;
                 out_bytes += rec.wire_bytes() as u64;
                 out_records += 1;
                 records.push((r, rec));
+            };
+            let mut count = |key: u64, bytes: usize| {
+                counted_bytes += bytes as u64;
+                counted_records += 1;
+                counted.add((key % reducers as u64) as usize, tag, bytes);
             };
             for (ri, row) in rows.iter().enumerate() {
                 if inject && ri == inject_at {
@@ -905,6 +1022,9 @@ fn run_map_task(
                         continue;
                     }
                 }
+                if dead.is_some_and(|(d, _)| d.count(tag, row, seed, ri, &mut count)) {
+                    continue;
+                }
                 job.map(tag, row, seed, ri, &mut emit);
             }
             if inject && rows.is_empty() {
@@ -913,7 +1033,18 @@ fn run_map_task(
             Ok(())
         });
         match attempt_result {
-            Ok(()) => return Ok((records, out_bytes, out_records, rows_pruned, stats)),
+            Ok(()) => {
+                let out = MapTaskOut {
+                    records,
+                    counted,
+                    input_bytes: bytes as u64,
+                    input_records: rows.len() as u64,
+                    output_bytes: out_bytes + counted_bytes,
+                    output_records: out_records + counted_records,
+                    rows_pruned,
+                };
+                return Ok((out, stats));
+            }
             Err(detail) => {
                 stats.retries += 1;
                 if detail.starts_with("panic") {
@@ -939,15 +1070,20 @@ fn run_map_task(
 /// with a fresh output buffer; the injected abort fires at the first
 /// group boundary past the input midpoint (or after the loop when one
 /// giant group swallows the midpoint), so real partial work really is
-/// thrown away and redone.
+/// thrown away and redone. Under a dead-row filter the whole input is
+/// one counted call, aborted after it.
 fn run_reduce_task(
-    job: &dyn MrJob,
+    reduce: &Reduce<'_>,
     records: &[TaggedRecord],
-    reducers: u32,
     r: usize,
-    faults: &FaultPlan,
-    cancel: Option<&CancelToken>,
 ) -> Result<((Vec<Tuple>, u64), TaskStats), ExecError> {
+    let Reduce {
+        job,
+        reducers,
+        faults,
+        cancel,
+        ..
+    } = *reduce;
     let max_attempts = faults.max_attempts.max(1);
     let mut stats = TaskStats::default();
     loop {
@@ -962,16 +1098,23 @@ fn run_reduce_task(
         let mut out: Vec<Tuple> = Vec::new();
         let mut candidates = 0u64;
         let attempt_result = run_attempt(|| {
-            let mut start = 0usize;
-            while start < records.len() {
-                if inject && start >= inject_at {
-                    abort_injected("reduce", r as u32, attempt, panic_mode)?;
+            if let Some(dead) = reduce.dead {
+                candidates = dead.reduce(r as u64, records, reduce.counted.of(r), &mut |row| {
+                    out.push(row);
+                    true
+                });
+            } else {
+                let mut start = 0usize;
+                while start < records.len() {
+                    if inject && start >= inject_at {
+                        abort_injected("reduce", r as u32, attempt, panic_mode)?;
+                    }
+                    let k = rec_key(&records[start], reducers, r);
+                    let end = group_end(records, start, reducers, r);
+                    candidates =
+                        candidates.saturating_add(job.reduce(k, &records[start..end], &mut out));
+                    start = end;
                 }
-                let k = rec_key(&records[start], reducers, r);
-                let end = group_end(records, start, reducers, r);
-                candidates =
-                    candidates.saturating_add(job.reduce(k, &records[start..end], &mut out));
-                start = end;
             }
             // One giant group can swallow the midpoint; a selected
             // attempt must still really abort.

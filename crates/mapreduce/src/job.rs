@@ -68,7 +68,13 @@ impl TaggedRecord {
     /// Bytes this record occupies on the wire: encoded tuple + tag byte
     /// + aux (varint-ish, call it 8) — the unit of shuffle accounting.
     pub fn wire_bytes(&self) -> usize {
-        self.tuple.encoded_len() + 1 + 8
+        Self::wire_len(&self.tuple)
+    }
+
+    /// [`TaggedRecord::wire_bytes`] of a record carrying `tuple`,
+    /// without building it.
+    pub fn wire_len(tuple: &Tuple) -> usize {
+        tuple.encoded_len() + 1 + 8
     }
 }
 
@@ -126,6 +132,86 @@ pub trait SkipFilter: Send + Sync {
     fn pair_counts(&self) -> (u64, u64);
 }
 
+/// The rows of one run's zone-kept blocks, by input tag: what a job's
+/// [`MrJob::dead_rows`] filter is built from.
+pub struct KeptRows<'a> {
+    tags: Vec<Vec<&'a [Tuple]>>,
+    skip: Option<&'a dyn SkipFilter>,
+}
+
+impl<'a> KeptRows<'a> {
+    /// No blocks yet; `skip` is the run's zone-map filter, if any.
+    pub fn new(skip: Option<&'a dyn SkipFilter>) -> Self {
+        KeptRows {
+            tags: Vec::new(),
+            skip,
+        }
+    }
+
+    /// Append the next kept block of `tag`.
+    pub fn push(&mut self, tag: u8, rows: &'a [Tuple]) {
+        let t = tag as usize;
+        if self.tags.len() <= t {
+            self.tags.resize_with(t + 1, Vec::new);
+        }
+        self.tags[t].push(rows);
+    }
+
+    fn blocks(&self, tag: u8) -> &[&'a [Tuple]] {
+        self.tags.get(tag as usize).map_or(&[], |v| v.as_slice())
+    }
+
+    /// Rows in `tag`'s kept blocks, before row-level skipping.
+    pub fn count(&self, tag: u8) -> usize {
+        self.blocks(tag).iter().map(|b| b.len()).sum()
+    }
+
+    /// `tag`'s rows that reach a map call: the kept blocks' rows in read
+    /// order, less those the zone-map filter drops.
+    pub fn rows(&self, tag: u8) -> impl Iterator<Item = &'a Tuple> + '_ {
+        self.blocks(tag)
+            .iter()
+            .flat_map(|b| b.iter())
+            .filter(move |row| self.skip.is_none_or(|f| f.keep_row(tag, row)))
+    }
+}
+
+/// A job's proof, built once per run, that some input rows cannot
+/// contribute to any output row — and the reduce that still prices them.
+///
+/// A *dead* row is counted, not shipped: the engine adds the records its
+/// map call would emit, and their wire bytes, to the map output and to
+/// each destination reducer, but never builds or moves them. The
+/// simulated clock therefore prices exactly what a run that ships every
+/// row prices.
+pub trait DeadRows: Send + Sync {
+    /// If `row` of `tag` is dead, report every record its map call would
+    /// emit as `count(partition key, wire bytes)` and return `true`;
+    /// otherwise report nothing and return `false`, and the engine maps
+    /// the row as usual. `block_seed` and `row_idx` are the map call's.
+    fn count(
+        &self,
+        tag: u8,
+        row: &Tuple,
+        block_seed: u64,
+        row_idx: usize,
+        count: &mut dyn FnMut(u64, usize),
+    ) -> bool;
+
+    /// Reduce reducer `key`'s whole input: the shipped `records` plus,
+    /// per tag `t`, `counted[t]` records that were counted instead
+    /// (missing tags count 0). Must emit the rows, in the order, and
+    /// return the priced count that [`MrJob::reduce`] would for the
+    /// input with every counted record shipped.
+    fn reduce(
+        &self,
+        key: u64,
+        records: &[TaggedRecord],
+        counted: &[u64],
+        emit: &mut dyn FnMut(Tuple) -> bool,
+    ) -> u64;
+}
+
 /// A MapReduce job. Implementations must be `Sync`: map and reduce
 /// tasks run on a thread pool.
 pub trait MrJob: Sync {
@@ -176,6 +262,21 @@ pub trait MrJob: Sync {
     /// semantics — like shared-relation NULL-equality merges — that
     /// zone ranges cannot capture). The default never skips.
     fn skip_filter(&self, _zones: &TagZones) -> Option<Box<dyn SkipFilter>> {
+        None
+    }
+
+    /// Build this run's [`DeadRows`] filter from the rows of its
+    /// zone-kept blocks, or `None` (the default) to ship every row.
+    ///
+    /// The counted-reduce contract: counts include every dead row, so
+    /// the group sizes and survivor counts the job prices are those of
+    /// a run that ships them. Only a job whose reduce groups are whole
+    /// reducers — no record sets [`GROUP_BY_AUX`](crate::engine::GROUP_BY_AUX)
+    /// in its `aux` — may offer a filter. The engine then calls [`DeadRows::reduce`]
+    /// once per reducer, including one that received only counted
+    /// records or none, in place of [`MrJob::reduce`] and
+    /// [`MrJob::reduce_streamed`].
+    fn dead_rows<'a>(&'a self, _kept: &KeptRows<'a>) -> Option<Box<dyn DeadRows + 'a>> {
         None
     }
 

@@ -49,6 +49,6 @@ pub use dfs::{logical_file_name, Block, BlockId, Dfs, DfsFile};
 pub use engine::{Engine, JobRun};
 pub use error::ExecError;
 pub use faults::{FaultPlan, TaskKind};
-pub use job::{Emit, InputSpec, MrJob, SkipFilter, TagZones, TaggedRecord};
+pub use job::{DeadRows, Emit, InputSpec, KeptRows, MrJob, SkipFilter, TagZones, TaggedRecord};
 pub use metrics::JobMetrics;
 pub use sink::{BatchSink, RowBatch, SinkSpec};

@@ -33,6 +33,10 @@ pub struct JobMetrics {
     pub map_output_bytes: u64,
     /// Total map-output records.
     pub map_output_records: u64,
+    /// Map-output records priced but not moved: the records of rows the
+    /// job's [`DeadRows`](crate::DeadRows) filter proved dead. Included
+    /// in `map_output_records`/`_bytes` and in reducer input bytes.
+    pub shuffle_elided: u64,
     /// Largest single reduce task input in bytes (`S*_r`, the skew term
     /// the paper bounds with the three-sigma rule).
     pub reduce_input_max_bytes: u64,

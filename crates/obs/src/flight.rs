@@ -90,6 +90,8 @@ pub struct JobRecord {
     pub candidates: u64,
     /// Candidates the host really visited, where the job counts them.
     pub examined: Option<u64>,
+    /// Shuffle records priced but not moved (rows proven dead).
+    pub elided: u64,
     /// Simulated makespan of the job, seconds.
     pub sim_secs: f64,
     /// Host wall-clock seconds spent executing.

@@ -21,8 +21,12 @@
 # more than the metric's bound; `unresolved` when the parent's own
 # spread is wider than that bound; `same` otherwise.
 #
-# Takes pairs × seeds × 4 workloads × 2 sides × ~25 s. Timings never
-# gate CI; this is run by hand when a change claims a gain.
+# After the pairs, one `--trace 1` run per side and workload on the first
+# seed shows where a difference sits: both sides' per-class p50s, shuffle
+# records and reduce candidates go into the `layers` array.
+#
+# Takes (pairs × seeds + 1) × 4 workloads × 2 sides × ~25 s. Timings
+# never gate CI; this is run by hand when a change claims a gain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,11 +62,12 @@ build() { # <side> <checkout>
 build parent "$parent_dir"
 build change .
 
-run() { # <side> <seed> <pair> <workload>: one record of runs.jsonl
+run() { # <side> <seed> <pair> <workload> [trace]: one record of runs.jsonl
     local last
     # A failed op or reference check exits non-zero but still reports;
     # the summary counts it.
-    last=$("$work/$1-e2e" --workload "$4" --seed "$2" --seconds "$seconds" | tail -n 1) || true
+    last=$("$work/$1-e2e" --workload "$4" --seed "$2" --seconds "$seconds" --trace "${5:-0}" \
+        | tail -n 1) || true
     jq -c --arg side "$1" --argjson seed "$2" --argjson pair "$3" --arg workload "$4" \
         '{side: $side, seed: $seed, pair: $pair, workload: $workload, result: .}' \
         <<<"$last" >>"$runs"
@@ -80,13 +85,22 @@ for seed in "${seeds[@]}"; do
         echo "ab_e2e: seed $seed pair $pair/$pairs done" >&2
     done
 done
+# The traced runs: pair 0, per-layer metrics only.
+for workload in "${workloads[@]}"; do
+    for side in parent change; do
+        run "$side" "${seeds[0]}" 0 "$workload" 1
+    done
+done
+echo "ab_e2e: traced runs done" >&2
 
 python3 - "$runs" "$parent_rev" "$change_rev" "$(nproc)" <<'EOF' >"$work/BENCH_e2e.json"
-import json, statistics, sys
+import json, re, statistics, sys
 
 runs_path, parent_rev, change_rev, host_threads = sys.argv[1:5]
 bench = json.load(open("BENCHMARK.json"))
-runs = [json.loads(line) for line in open(runs_path)]
+all_runs = [json.loads(line) for line in open(runs_path)]
+runs = [r for r in all_runs if r["pair"] > 0]
+traced = {(r["workload"], r["side"]): r for r in all_runs if r["pair"] == 0}
 
 def side_summary(values):
     one_run = len(values) < 2
@@ -137,6 +151,22 @@ for seed in seeds:
                 "ties": len(pairs) - won - lost, "verdict": verdict,
             })
 
+# Where a difference sits: the traced runs' per-class p50s (classes the
+# workload runs) and the priced shuffle and reduce volume, both sides.
+layers = []
+shown = re.compile(r"class\..*\.p50_ms|mapreduce\.shuffle_records|join\.reduce_candidates")
+for workload in [w["name"] for w in bench["workloads"]]:
+    sides = [traced.get((workload, side)) for side in ("parent", "change")]
+    if None in sides:
+        continue
+    value = lambda side, name: side["result"]["metrics"].get(name, {}).get("value", 0)
+    for metric in bench["per_layer"]:
+        name = metric["name"]
+        p, c = (value(side, name) for side in sides)
+        if shown.fullmatch(name) and (p or c):
+            layers.append({"seed": sides[0]["seed"], "workload": workload, "metric": name,
+                           "unit": metric["unit"], "parent": p, "change": c})
+
 lines = lambda rows: ",\n".join("    " + json.dumps(row) for row in rows)
 print("{")
 print('  "bench": "e2e_ab",')
@@ -150,6 +180,9 @@ print('  "rule": "gain = change wins >= 9/10 of the alternating pairs (ties for 
       'parent median; unresolved = parent q3 - q1 wider than that bound",')
 print('  "results": [')
 print(lines(results))
+print("  ],")
+print('  "layers": [')
+print(lines(layers))
 print("  ],")
 print('  "ops": [')
 print(lines(failed))

@@ -9,7 +9,9 @@
 //! priced candidate count is a closed form of per-depth survivor counts
 //! and group sizes for chain jobs and `|L|·|R|` per reducer for pair
 //! jobs; if it — or anything else Eq. 2–4 prices — drifts by one unit,
-//! these assertions fail. A deliberate change to the cost model
+//! these assertions fail. The chain jobs count rows that join nothing
+//! instead of shipping them (`band2` asserts it), so these literals are
+//! also what the counted path must price. A deliberate change to the cost model
 //! regenerates them: a failing run prints the measured table in
 //! paste-ready form. First slice of ROADMAP item 1a's golden file.
 
@@ -76,6 +78,9 @@ fn theta_heavy_band2_and_chain3_are_pinned() {
         .run_sql(&format!("SELECT * FROM r x, s y WHERE {BAND_A}"))
         .expect("band2 runs");
     assert_pinned("band2", &band2, BAND2);
+    // Most `s` rows join no `r` row: they are counted, not shipped, and
+    // the literals above still hold.
+    assert!(band2.jobs[0].shuffle_elided > 0, "band2 shipped every row");
     let chain3 = engine
         .run_sql(&format!(
             "SELECT * FROM r x, s y, t z WHERE {BAND_A} AND {BAND_B}"
