@@ -148,9 +148,7 @@ impl Counted {
 
     /// Reducer `r`'s counted records, per tag.
     fn of(&self, r: usize) -> &[u64] {
-        self.records
-            .get(r * self.tags..(r + 1) * self.tags)
-            .unwrap_or(&[])
+        &self.records[r * self.tags..(r + 1) * self.tags]
     }
 
     fn bytes_of(&self, r: usize) -> u64 {
