@@ -51,7 +51,6 @@ fn sweep(rows: usize, keys: usize, reducers: &[u32]) -> Vec<f64> {
                 IntermediateShape::base(&q, 1),
                 preds.clone(),
                 PairStrategy::EquiHash,
-                (rows as u64, rows as u64),
                 n,
             );
             engine

@@ -58,7 +58,6 @@ fn main() {
             IntermediateShape::base(&q, 1),
             preds,
             PairStrategy::EquiHash,
-            (rows as u64, rows as u64),
             n,
         );
         let engine = Engine::new(cfg.clone(), dfs);

@@ -1944,9 +1944,13 @@ fn augment_with_rid(rel: &Relation) -> Relation {
         .iter()
         .enumerate()
         .map(|(i, row)| {
-            let mut v = row.values().to_vec();
-            v.push(Value::Int(i as i64));
-            Tuple::new(v)
+            // One allocation per row: a trusted-length chain collects
+            // straight into the tuple's buffer.
+            row.values()
+                .iter()
+                .cloned()
+                .chain(std::iter::once(Value::Int(i as i64)))
+                .collect()
         })
         .collect();
     Relation::from_rows_unchecked(schema, rows)
@@ -2069,6 +2073,17 @@ fn job_span(index: usize, m: &JobMetrics) -> SpanRecord {
         reduce = reduce.with_meta("examined", examined);
     }
     reduce = reduce.with_meta("elided", m.shuffle_elided);
+    // The reduce phase's host time, split: the reduce tasks' join work,
+    // then output delivery — blocked in the sink's `send` when
+    // streamed, assembling the result relation when buffered (the
+    // terminal job's result, or an intermediate's DFS file).
+    let deliver_secs = m.real_deliver_secs.min(m.real_reduce_secs);
+    let mut join = SpanRecord::synthetic(&format!("job{index}/join"));
+    join.wall_ms = (m.real_reduce_secs - deliver_secs) * 1e3;
+    let mut deliver =
+        SpanRecord::synthetic(&format!("job{index}/deliver")).with_meta("rows", m.output_records);
+    deliver.wall_ms = deliver_secs * 1e3;
+    reduce.children = vec![join, deliver];
     job.children.push(reduce);
     job.wall_ms = m.real_secs * 1e3;
     let phases = [m.real_map_secs, m.real_shuffle_secs, m.real_reduce_secs];

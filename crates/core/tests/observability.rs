@@ -330,6 +330,73 @@ fn profile_tree_carries_lifecycle_stages() {
     }
 }
 
+/// Output delivery has its own span under the terminal job's reduce:
+/// `deliver` beside the reduce tasks' `join`, the two summing to the
+/// reduce phase, in the profile tree and in `EXPLAIN ANALYZE`. A
+/// streamed run charges it the time blocked in the sink's `send` — a
+/// consumer that reads slowly shows up there, not in the join.
+#[test]
+fn deliver_span_sits_under_the_terminal_reduce() {
+    let engine = seeded_engine(8);
+    let run = engine
+        .run_sql_with("deliver", Q2, &RunOptions::default())
+        .unwrap();
+    let profile = run.profile().expect("tracing defaults on");
+    let reduce = profile.find("job0/reduce").expect("a reduce span");
+    let stages: Vec<&str> = reduce.children.iter().map(|c| c.stage.as_str()).collect();
+    assert_eq!(
+        stages,
+        ["job0/join", "job0/deliver"],
+        "{}",
+        profile.render()
+    );
+    let split: f64 = reduce.children.iter().map(|c| c.wall_ms).sum();
+    assert!(
+        (split - reduce.wall_ms).abs() < 1e-6,
+        "{}",
+        profile.render()
+    );
+    let deliver = &reduce.children[1];
+    assert!(
+        deliver
+            .meta
+            .contains(&("rows".into(), run.output.len().to_string())),
+        "{deliver:?}"
+    );
+    let explain = engine
+        .explain_sql(
+            "deliver",
+            &format!("EXPLAIN ANALYZE {Q2}"),
+            &RunOptions::default(),
+        )
+        .unwrap()
+        .render();
+    assert!(explain.contains("job0/deliver wall_ms="), "{explain}");
+
+    // One-row batches through a one-slot channel, read 2 ms apart: the
+    // producer spends most of its delivery blocked in `send`.
+    let stream_opts = StreamOptions::new().batch_rows(1).channel_depth(1);
+    let mut stream = engine
+        .run_sql_streamed("deliver", Q2, &RunOptions::default(), &stream_opts)
+        .unwrap();
+    let mut batches = 0u32;
+    while stream.next_batch().unwrap().is_some() {
+        batches += 1;
+        if batches <= 10 {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    }
+    let end = stream.end().expect("clean end");
+    let job = end.jobs.last().expect("a terminal job");
+    assert!(batches > 10, "too few batches to judge: {batches}");
+    assert!(
+        job.real_deliver_secs >= 0.01 && job.real_deliver_secs <= job.real_reduce_secs,
+        "deliver {} s of reduce {} s",
+        job.real_deliver_secs,
+        job.real_reduce_secs
+    );
+}
+
 /// Fault counters are cumulative across `run_many` batches: monotone,
 /// never reset — the contract a scraper depends on.
 #[test]

@@ -120,7 +120,6 @@ impl Calibrator {
             IntermediateShape::base(&q, 1),
             preds,
             PairStrategy::EquiHash,
-            (rel.len() as u64, rel.len() as u64),
             reducers,
         );
         let engine = Engine::new(self.config.clone(), dfs);

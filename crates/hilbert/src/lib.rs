@@ -19,15 +19,11 @@
 //! * [`partition`] — [`partition::SpacePartition`]: curve segments as
 //!   reduce components, per-(dimension, stripe) component lists, cell
 //!   ownership for reducer-side dedup, and the partition score of Eq. 7.
-//! * [`rect`] — 2-D rectangle partitioning (Okcan & Riedewald's
-//!   1-Bucket-Theta), used by the pairwise baseline and the ablations.
 
 #![warn(missing_docs)]
 
 pub mod curve;
 pub mod partition;
-pub mod rect;
 
 pub use curve::HilbertCurve;
 pub use partition::{PartitionStrategy, SpacePartition};
-pub use rect::RectPartition;

@@ -22,29 +22,39 @@
 //!    sorted key range or a walk, and every candidate still runs
 //!    through all of the depth's predicates, so rows and row order are
 //!    those of the plain nested loop. This job supplies only the leaf
-//!    (ownership, then `Tuple::concat_all`) and its priced formula.
+//!    (ownership, then the output row) and its priced formula.
 //!
-//!    Two counts come out of it. The **priced** count — what
-//!    [`MrJob::reduce`] returns and Eq. 2–4 charge — is the work of the
-//!    textbook nested loop: `|G_d|` per prefix that reaches depth `d`
-//!    plus one per full combination, computed from the survivors, not
-//!    from visits, so the simulated clock does not depend on the index.
-//!    The **examined** count ([`MrJob::reduce_examined`]) is what the
-//!    host really visited.
+//!    A component is one [`MrJob::reduce_task`] call. Two counts come
+//!    out of it. The **priced** count — what it returns and Eq. 2–4
+//!    charge — is the work of the textbook nested loop: `|G_d|` per
+//!    prefix that reaches depth `d` plus one per full combination,
+//!    computed from the survivors, not from visits, so the simulated
+//!    clock does not depend on the index. The **examined** count
+//!    ([`MrJob::reduce_examined`]) is what the host really visited.
+//!
+//!    Each emitted row carries its **priced bytes**: the encoded length
+//!    of the concatenated row Algorithm 1 writes. A job that is the
+//!    query's last ([`ChainThetaJob::projecting`]) builds only the
+//!    projected columns, in one allocation, and prices that full row
+//!    from its parts' memoised lengths, so output bytes are the same
+//!    whichever row the leaf builds.
 //! 4. **dead rows are counted, not shipped** ([`MrJob::dead_rows`]):
 //!    before the map phase, each edge's larger kept side is probed
 //!    against an exact semi-join index over the smaller side. A row
 //!    that joins nothing there, and whose priced work the closed form
 //!    can take from counts alone, is routed like any other but only
 //!    its record count and bytes travel (`ChainDeadRows`). Algorithm 1
-//!    ships it, so Eq. 2–4 still price it: the reducer adds the counts
-//!    into the group sizes and survivors of its formula.
+//!    ships it, so Eq. 2–4 still price it: `reduce_task` receives the
+//!    counts and adds them into the group sizes and survivors of its
+//!    formula.
 
 use crate::descent::{Descent, SemiJoin, Visit};
-use crate::shape::IntermediateShape;
+use crate::shape::{IntermediateShape, OutRow};
 use crate::skip::ChainSkipFilter;
 use mwtj_hilbert::{PartitionStrategy, SpacePartition};
-use mwtj_mapreduce::{DeadRows, Emit, KeptRows, MrJob, SkipFilter, TagZones, TaggedRecord};
+use mwtj_mapreduce::{
+    DeadRows, Emit, KeptRows, MrJob, ReduceEmit, SkipFilter, TagZones, TaggedRecord,
+};
 use mwtj_query::theta::CompiledPredicate;
 use mwtj_query::MultiwayQuery;
 use mwtj_storage::{Schema, Tuple};
@@ -65,6 +75,11 @@ pub struct ChainThetaJob {
     preds: Vec<CompiledPredicate>,
     descent: Descent,
     out_shape: IntermediateShape,
+    /// The leaf's row from one row per dimension: their concatenation,
+    /// or the query's projection of it.
+    out: OutRow,
+    /// Schema of the rows `out` builds.
+    schema: Schema,
     /// Candidates really visited by every reduce call so far (a
     /// statistic: publishes nothing, hence `Relaxed`).
     examined: AtomicU64,
@@ -118,6 +133,11 @@ impl ChainThetaJob {
             .collect();
         let descent = Descent::new(dims.len(), &preds, Vec::new());
         let out_shape = IntermediateShape::of(query, &dims);
+        let parts: Vec<IntermediateShape> = dims
+            .iter()
+            .map(|&r| IntermediateShape::base(query, r))
+            .collect();
+        let out = OutRow::new(&out_shape, &parts.iter().collect::<Vec<_>>());
         let name = format!(
             "chain[{}]",
             edges
@@ -133,8 +153,26 @@ impl ChainThetaJob {
             partition,
             preds,
             descent,
+            schema: out_shape.schema.clone(),
             out_shape,
+            out,
             examined: AtomicU64::new(0),
+        }
+    }
+
+    /// This job as a query's terminal job: the leaf builds only the
+    /// columns of `query`'s projection, in one allocation, and the
+    /// output schema is the projection's. Each row is still priced at
+    /// the concatenated row, so every simulated figure is unchanged. An
+    /// empty projection returns the whole row, as before.
+    pub fn projecting(self, query: &MultiwayQuery) -> Self {
+        if query.projection.is_empty() {
+            return self;
+        }
+        ChainThetaJob {
+            out: self.out.project(&self.out_shape.projection_cols(query)),
+            schema: query.output_schema(),
+            ..self
         }
     }
 
@@ -155,7 +193,8 @@ impl ChainThetaJob {
         &self.dims
     }
 
-    /// Output row shape.
+    /// Shape of the concatenated row (what a non-projecting job
+    /// outputs).
     pub fn out_shape(&self) -> &IntermediateShape {
         &self.out_shape
     }
@@ -195,7 +234,7 @@ impl ChainThetaJob {
         records: &[TaggedRecord],
         counted: &[u64],
         scan: bool,
-        emit: &mut dyn FnMut(Tuple) -> bool,
+        emit: &mut ReduceEmit<'_>,
     ) -> Option<(Visit, Vec<u64>)> {
         let mut rows: Vec<Vec<&Tuple>> = vec![Vec::new(); self.dims.len()];
         let mut stripes: Vec<Vec<u64>> = vec![Vec::new(); self.dims.len()];
@@ -218,7 +257,11 @@ impl ChainThetaJob {
                 *c = s[pos as usize];
             }
             // Ownership test: exactly one component owns this cell.
-            self.partition.owner_of_cell(&cell) != key as u32 || emit(Tuple::concat_all(stack))
+            if self.partition.owner_of_cell(&cell) != key as u32 {
+                return true;
+            }
+            let (row, bytes) = self.out.build(stack);
+            emit(row, bytes)
         };
         let mut visit = if scan {
             self.descent.run_scan(&groups, leaf)
@@ -233,35 +276,6 @@ impl ChainThetaJob {
         Some((visit, sizes))
     }
 
-    /// The reduce body: descend, count what was examined, and return the
-    /// priced work of the textbook nested loop — `|G_0|`, plus
-    /// `|G_{d+1}|` for every row that survives depth `d`, plus one per
-    /// full combination — over the shipped `records` and the `counted`
-    /// dead rows per dimension alike. `reduce` and `reduce_streamed` are
-    /// its case with nothing counted.
-    fn reduce_inner(
-        &self,
-        key: u64,
-        records: &[TaggedRecord],
-        counted: &[u64],
-        emit: &mut dyn FnMut(Tuple) -> bool,
-    ) -> u64 {
-        let Some((visit, sizes)) = self.descend(key, records, counted, false, emit) else {
-            return 0;
-        };
-        self.examined.fetch_add(visit.examined, Ordering::Relaxed);
-        let (&last, survivors) = visit
-            .survivors
-            .split_last()
-            .expect("a chain has dimensions");
-        survivors
-            .iter()
-            .zip(&sizes[1..])
-            .fold(sizes[0].saturating_add(last), |work, (&s, &g)| {
-                work.saturating_add(s.saturating_mul(g))
-            })
-    }
-
     /// The reducer as a plain nested loop: every prefix scans its whole
     /// next group, and the returned count is what that loop visits.
     /// Kept as the reference the differential property test and the
@@ -274,7 +288,7 @@ impl ChainThetaJob {
         records: &[TaggedRecord],
         out: &mut Vec<Tuple>,
     ) -> u64 {
-        let emit = &mut |row| {
+        let emit = &mut |row, _| {
             out.push(row);
             true
         };
@@ -353,16 +367,6 @@ impl DeadRows for ChainDeadRows<'_> {
         }
         true
     }
-
-    fn reduce(
-        &self,
-        key: u64,
-        records: &[TaggedRecord],
-        counted: &[u64],
-        emit: &mut dyn FnMut(Tuple) -> bool,
-    ) -> u64 {
-        self.job.reduce_inner(key, records, counted, emit)
-    }
 }
 
 impl MrJob for ChainThetaJob {
@@ -371,7 +375,7 @@ impl MrJob for ChainThetaJob {
     }
 
     fn output_schema(&self) -> Schema {
-        self.out_shape.schema.clone()
+        self.schema.clone()
     }
 
     fn skip_filter(&self, zones: &TagZones) -> Option<Box<dyn SkipFilter>> {
@@ -396,20 +400,32 @@ impl MrJob for ChainThetaJob {
         }
     }
 
-    fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
-        self.reduce_inner(key, records, &[], &mut |row| {
-            out.push(row);
-            true
-        })
-    }
-
-    fn reduce_streamed(
+    /// Descend, count what was examined, and return the priced work of
+    /// the textbook nested loop — `|G_0|`, plus `|G_{d+1}|` for every
+    /// row that survives depth `d`, plus one per full combination —
+    /// over the shipped `records` and the `counted` dead rows per
+    /// dimension alike. Component `r` owns the cells it emits.
+    fn reduce_task(
         &self,
-        key: u64,
+        r: u64,
         records: &[TaggedRecord],
-        emit: &mut dyn FnMut(Tuple) -> bool,
+        counted: &[u64],
+        emit: &mut ReduceEmit<'_>,
     ) -> u64 {
-        self.reduce_inner(key, records, &[], emit)
+        let Some((visit, sizes)) = self.descend(r, records, counted, false, emit) else {
+            return 0;
+        };
+        self.examined.fetch_add(visit.examined, Ordering::Relaxed);
+        let (&last, survivors) = visit
+            .survivors
+            .split_last()
+            .expect("a chain has dimensions");
+        survivors
+            .iter()
+            .zip(&sizes[1..])
+            .fold(sizes[0].saturating_add(last), |work, (&s, &g)| {
+                work.saturating_add(s.saturating_mul(g))
+            })
     }
 
     fn reduce_examined(&self) -> Option<u64> {

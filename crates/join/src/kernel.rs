@@ -17,7 +17,7 @@
 //! reducer running the naive algorithm would do.
 
 use crate::descent::{Descent, Leaf};
-use crate::shape::IntermediateShape;
+use crate::shape::{IntermediateShape, OutRow};
 use mwtj_query::theta::CompiledPredicate;
 use mwtj_storage::Tuple;
 
@@ -36,10 +36,8 @@ pub struct PairKernel {
     /// side's hash key, and the single source of truth for map-side
     /// `EquiHash` partitioning keys.
     eq_key: Vec<(usize, usize)>,
-    /// Output assembly program: (take from left?, start, len) slices in
-    /// output order.
-    segments: Vec<(bool, usize, usize)>,
-    out_arity: usize,
+    /// Output assembly: the leaf's row from a matching pair.
+    out: OutRow,
 }
 
 impl PairKernel {
@@ -80,23 +78,22 @@ impl PairKernel {
             })
             .collect();
         let descent = Descent::new(2, &preds, shared);
-        // Output assembly: for each output relation, the first side
-        // carrying it provides the columns (left preferred).
-        let segments = out
-            .rels
-            .iter()
-            .map(|&rel| {
-                let from_left = left.has(rel);
-                let range = sides[usize::from(!from_left)].col_range(rel);
-                (from_left, range.start, range.len())
-            })
-            .collect();
         PairKernel {
             eq_key: descent.equality_key(1),
             descent,
             preds,
-            segments,
-            out_arity: out.arity(),
+            // For each output relation, the first side carrying it
+            // provides the columns (left preferred).
+            out: OutRow::new(out, &sides),
+        }
+    }
+
+    /// Build only `cols` (flat columns of the out shape) from each
+    /// matching pair, still priced at the full joined row.
+    pub(crate) fn project(self, cols: &[usize]) -> Self {
+        PairKernel {
+            out: self.out.project(cols),
+            ..self
         }
     }
 
@@ -158,15 +155,16 @@ impl PairKernel {
         });
     }
 
-    /// Assemble one output row from a matching pair — the compiled
-    /// slice-copy form of [`IntermediateShape::assemble`].
+    /// Assemble one output row from a matching pair: each output
+    /// relation's columns from the first side carrying it.
     pub fn assemble(&self, l: &Tuple, r: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.out_arity);
-        for &(from_left, start, len) in &self.segments {
-            let src = if from_left { l.values() } else { r.values() };
-            values.extend_from_slice(&src[start..start + len]);
-        }
-        Tuple::new(values)
+        self.build(&[l, r]).0
+    }
+
+    /// The output row of a matching `[left, right]` pair and its priced
+    /// bytes (see [`OutRow::build`]).
+    pub(crate) fn build(&self, pair: &[&Tuple]) -> (Tuple, u64) {
+        self.out.build(pair)
     }
 }
 
@@ -371,15 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn assemble_matches_shape_assemble() {
+    fn assemble_concatenates_the_sides() {
         let q = two_rel_query(ThetaOp::Eq);
-        let left = IntermediateShape::base(&q, 0);
-        let right = IntermediateShape::base(&q, 1);
-        let out = IntermediateShape::union(&q, &left, &right);
         let (l, r) = (tuple![1, 2], tuple![3, 4]);
-        assert_eq!(
-            compile_for(&q).assemble(&l, &r),
-            out.assemble(&[(&left, &l), (&right, &r)])
-        );
+        assert_eq!(compile_for(&q).assemble(&l, &r), tuple![1, 2, 3, 4]);
     }
 }

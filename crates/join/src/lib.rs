@@ -9,9 +9,8 @@
 //!   every reduce component whose region intersects the tuple's stripe,
 //!   and reducers emit only the result combinations whose cell they own
 //!   — exact output, no duplicates, balanced load.
-//! * [`pair`] — pairwise operators: hash-partitioned equi-join,
-//!   fragment-replicate ("broadcast") theta-join, and Okcan &
-//!   Riedewald's 1-Bucket-Theta. These are the building blocks of the
+//! * [`pair`] — pairwise operators: hash-partitioned equi-join and
+//!   fragment-replicate ("broadcast") theta-join. These are the building blocks of the
 //!   Hive/Pig/YSmart-style baseline cascades and of the merge steps
 //!   that combine partial MRJ outputs (§4.2, Fig. 4).
 //! * `descent` — the one reduce-side join core both jobs run: a depth

@@ -1,7 +1,7 @@
 //! Pairwise join operators over shaped intermediates.
 //!
 //! [`PairJob`] joins two inputs (base relations or intermediate results)
-//! under any conjunction of theta predicates, with three partitioning
+//! under any conjunction of theta predicates, with two partitioning
 //! strategies:
 //!
 //! * [`PairStrategy::EquiHash`] — hash partition on the equality key
@@ -12,23 +12,27 @@
 //! * [`PairStrategy::Broadcast`] — fragment-replicate: the designated
 //!   side is copied to every reducer, the other side is split evenly.
 //!   What Hive/Pig-era systems fall back to for pure inequality joins.
-//! * [`PairStrategy::OneBucket`] — Okcan & Riedewald's 1-Bucket-Theta
-//!   rectangle tiling of the join matrix: exact cover, each pair
-//!   examined by exactly one reducer, balanced without statistics.
 //!
 //! Whatever the partitioning, the reduce-side join is the shared
 //! `descent` at two depths — left rows, then the right rows each may
 //! join — compiled once at job construction as a [`PairKernel`]. The
 //! job keeps only its leaf (output assembly) and its priced formula:
-//! the full candidate cross product `|L|·|R|` per reducer, whatever the
-//! host examined.
+//! the full candidate cross product `|L|·|R|` per key group, whatever
+//! the host examined.
+//!
+//! A reducer is one [`MrJob::reduce_task`] call: the job walks the
+//! reducer's key groups itself ([`key_groups`]), reusing one pair of
+//! left/right buffers across them. Each emitted row carries its priced
+//! bytes, the encoded length of the full joined row. A terminal job
+//! ([`PairJob::projecting`]) builds only the query's projected columns
+//! in the leaf and still prices the full row, so the simulated clock
+//! cannot tell it from a job that builds the whole row.
 
 use crate::kernel::PairKernel;
 use crate::shape::IntermediateShape;
 use crate::skip::ChainSkipFilter;
-use mwtj_hilbert::RectPartition;
 use mwtj_mapreduce::engine::GROUP_BY_AUX;
-use mwtj_mapreduce::{Emit, MrJob, SkipFilter, TagZones, TaggedRecord};
+use mwtj_mapreduce::{key_groups, Emit, MrJob, ReduceEmit, SkipFilter, TagZones, TaggedRecord};
 use mwtj_query::theta::CompiledPredicate;
 use mwtj_query::MultiwayQuery;
 use mwtj_storage::{Schema, Tuple};
@@ -47,8 +51,6 @@ pub enum PairStrategy {
         /// Which input (0 = left, 1 = right) is replicated.
         replicated: u8,
     },
-    /// 1-Bucket-Theta rectangle tiling.
-    OneBucket,
 }
 
 /// A pairwise theta-join / merge job.
@@ -62,12 +64,11 @@ pub struct PairJob {
     /// columns, canonical order).
     key_cols: [Vec<usize>; 2],
     strategy: PairStrategy,
-    rect: Option<RectPartition>,
-    /// Input cardinalities (left, right) — the 1-Bucket global-id
-    /// domains.
-    cards: (u64, u64),
     reducers: u32,
     out_shape: IntermediateShape,
+    /// Schema of the rows the leaf builds: `out_shape`'s, or the
+    /// query's projection for a [`PairJob::projecting`] job.
+    schema: Schema,
     /// Candidates really visited by every reduce call so far (a
     /// statistic: publishes nothing, hence `Relaxed`).
     examined: AtomicU64,
@@ -79,10 +80,7 @@ impl PairJob {
     /// * `preds` — compiled predicates between the two sides
     ///   (query-relation indexed; each must reference one relation from
     ///   each side).
-    /// * `cardinalities` — per-side input row counts (used by
-    ///   `OneBucket` to shape its rectangles).
     /// * `reducers` — reduce task count.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: impl Into<String>,
         query: &MultiwayQuery,
@@ -90,7 +88,6 @@ impl PairJob {
         right: IntermediateShape,
         preds: Vec<CompiledPredicate>,
         strategy: PairStrategy,
-        cardinalities: (u64, u64),
         reducers: u32,
     ) -> Self {
         assert!(reducers >= 1);
@@ -102,18 +99,6 @@ impl PairJob {
                 "predicate {pi} does not span the two sides"
             );
         }
-        let rect = match strategy {
-            PairStrategy::OneBucket => Some(RectPartition::new(
-                cardinalities.0.max(1),
-                cardinalities.1.max(1),
-                reducers,
-            )),
-            _ => None,
-        };
-        let reducers = match &rect {
-            Some(r) => r.num_components(),
-            None => reducers,
-        };
         let out_shape = IntermediateShape::union(query, &left, &right);
         let kernel = PairKernel::compile(&left, &right, &out_shape, &preds);
         if matches!(strategy, PairStrategy::EquiHash) {
@@ -138,11 +123,26 @@ impl PairJob {
             kernel,
             key_cols,
             strategy,
-            rect,
-            cards: (cardinalities.0.max(1), cardinalities.1.max(1)),
             reducers,
+            schema: out_shape.schema.clone(),
             out_shape,
             examined: AtomicU64::new(0),
+        }
+    }
+
+    /// This job as a query's terminal job: the leaf builds only the
+    /// columns of `query`'s projection, in one allocation, and the
+    /// output schema is the projection's. Each row is still priced at
+    /// the full joined row, so every simulated figure is unchanged. An
+    /// empty projection returns the whole row, as before.
+    pub fn projecting(self, query: &MultiwayQuery) -> Self {
+        if query.projection.is_empty() {
+            return self;
+        }
+        PairJob {
+            kernel: self.kernel.project(&self.out_shape.projection_cols(query)),
+            schema: query.output_schema(),
+            ..self
         }
     }
 
@@ -151,7 +151,8 @@ impl PairJob {
         self.reducers
     }
 
-    /// Output row shape.
+    /// Shape of the full joined row (what a non-projecting job
+    /// outputs).
     pub fn out_shape(&self) -> &IntermediateShape {
         &self.out_shape
     }
@@ -186,7 +187,7 @@ impl MrJob for PairJob {
     }
 
     fn output_schema(&self) -> Schema {
-        self.out_shape.schema.clone()
+        self.schema.clone()
     }
 
     fn map(&self, tag: u8, row: &Tuple, block_seed: u64, row_idx: usize, emit: &mut Emit<'_>) {
@@ -226,33 +227,6 @@ impl MrJob for PairJob {
                     );
                 }
             }
-            PairStrategy::OneBucket => {
-                let rect = self.rect.as_ref().expect("rect built for OneBucket");
-                let gid = Self::splitmix(block_seed, row_idx);
-                if tag == 0 {
-                    for comp in rect.components_for_row(gid % self.cards.0) {
-                        emit(
-                            comp as u64,
-                            TaggedRecord {
-                                tag,
-                                aux: 0,
-                                tuple: row.clone(),
-                            },
-                        );
-                    }
-                } else {
-                    for comp in rect.components_for_col(gid % self.cards.1) {
-                        emit(
-                            comp as u64,
-                            TaggedRecord {
-                                tag,
-                                aux: 0,
-                                tuple: row.clone(),
-                            },
-                        );
-                    }
-                }
-            }
         }
     }
 
@@ -263,39 +237,46 @@ impl MrJob for PairJob {
         ChainSkipFilter::build(self.kernel.side_preds(), 2, zones)
     }
 
-    fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
-        self.reduce_streamed(key, records, &mut |row| {
-            out.push(row);
-            true
-        })
-    }
-
-    fn reduce_streamed(
+    fn reduce_task(
         &self,
-        _key: u64,
+        _r: u64,
         records: &[TaggedRecord],
-        emit: &mut dyn FnMut(Tuple) -> bool,
+        _counted: &[u64],
+        emit: &mut ReduceEmit<'_>,
     ) -> u64 {
         let mut lefts: Vec<&Tuple> = Vec::new();
         let mut rights: Vec<&Tuple> = Vec::new();
-        for rec in records {
-            if rec.tag == 0 {
-                lefts.push(&rec.tuple);
-            } else {
-                rights.push(&rec.tuple);
+        let (mut priced, mut examined) = (0u64, 0u64);
+        let mut open = true;
+        for group in key_groups(records) {
+            lefts.clear();
+            rights.clear();
+            for rec in group {
+                if rec.tag == 0 {
+                    lefts.push(&rec.tuple);
+                } else {
+                    rights.push(&rec.tuple);
+                }
+            }
+            // Rows materialise one at a time as the descent visits
+            // index pairs — the reducer never holds its output set.
+            examined += self.kernel.visit(&lefts, &rights, &mut |pair, _| {
+                let (row, bytes) = self.kernel.build(pair);
+                open = emit(row, bytes);
+                open
+            });
+            // Simulated-cost contract: a reducer running the textbook
+            // nested loop examines every (left, right) combination of
+            // the group, and the cost model (Eq. 2–4) prices that
+            // work, whatever the host examined.
+            priced =
+                priced.saturating_add((lefts.len() as u64).saturating_mul(rights.len() as u64));
+            if !open {
+                break;
             }
         }
-        // Rows materialise one at a time as the descent visits index
-        // pairs — the reducer never holds its output set.
-        let examined = self.kernel.visit(&lefts, &rights, &mut |pair, _| {
-            emit(self.kernel.assemble(pair[0], pair[1]))
-        });
         self.examined.fetch_add(examined, Ordering::Relaxed);
-        // Simulated-cost contract: a reducer running the textbook
-        // nested loop examines every (left, right) combination, and the
-        // cost model (Eq. 2–4) prices that work, whatever the host
-        // examined.
-        (lefts.len() as u64).saturating_mul(rights.len() as u64)
+        priced
     }
 
     fn reduce_examined(&self) -> Option<u64> {
@@ -361,7 +342,6 @@ mod tests {
             IntermediateShape::base(q, 1),
             preds,
             strategy,
-            (l.len() as u64, r.len() as u64),
             reducers,
         );
         let engine = Engine::new(cfg, dfs);
@@ -416,18 +396,6 @@ mod tests {
                 6,
             ));
             assert_eq!(got, want, "replicated side {repl}");
-        }
-    }
-
-    #[test]
-    fn one_bucket_matches_oracle_for_inequality() {
-        let l = rel("l", 200, 25, 80);
-        let r = rel("r", 150, 26, 80);
-        let q = ineq_query(&l, &r);
-        let want = canonicalize(oracle_join(&q, &[&l, &r]));
-        for reducers in [1u32, 4, 12] {
-            let got = canonicalize(run_pair(&q, &l, &r, PairStrategy::OneBucket, reducers));
-            assert_eq!(got, want, "reducers={reducers}");
         }
     }
 
@@ -507,7 +475,6 @@ mod tests {
             sb,
             vec![], // merge: only shared-relation equality
             PairStrategy::EquiHash,
-            (ia.len() as u64, ib.len() as u64),
             8,
         );
         let engine = Engine::new(cfg, dfs);

@@ -5,9 +5,11 @@
 //! relation index. [`IntermediateShape`] records which relations those
 //! are and where each one's columns start, so downstream jobs (merges,
 //! cascade steps) can address `rel.col` in O(1) without schema lookups.
+//! [`OutRow`] is the compiled form a join leaf builds its row with.
 
 use mwtj_query::MultiwayQuery;
-use mwtj_storage::{Schema, Tuple, Value};
+use mwtj_storage::{codec, Schema, Tuple};
+use std::ops::Range;
 
 /// Layout of an intermediate row covering a set of query relations.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,18 +91,6 @@ impl IntermediateShape {
             .unwrap_or_else(|_| panic!("relation {rel} not in shape {:?}", self.rels))
     }
 
-    /// The value of `rel.col` in a combined row.
-    #[inline]
-    pub fn value<'a>(&self, row: &'a Tuple, rel: usize, col: usize) -> &'a Value {
-        row.get(self.offsets[self.pos(rel)] + col)
-    }
-
-    /// The slice of values belonging to `rel` in a combined row.
-    pub fn rel_values<'a>(&self, row: &'a Tuple, rel: usize) -> &'a [Value] {
-        let p = self.pos(rel);
-        &row.values()[self.offsets[p]..self.offsets[p] + self.widths[p]]
-    }
-
     /// Flat column range of `rel` within a combined row — the resolved
     /// form kernels compile to so the per-pair path touches no shape
     /// lookups.
@@ -109,25 +99,119 @@ impl IntermediateShape {
         self.offsets[p]..self.offsets[p] + self.widths[p]
     }
 
-    /// Build a combined row of this shape from per-relation source rows:
-    /// `sources` yields `(shape, row)` pairs; for every relation in
-    /// `self`, the first source carrying it provides the columns.
-    pub fn assemble(&self, sources: &[(&IntermediateShape, &Tuple)]) -> Tuple {
-        let total: usize = self.widths.iter().sum();
-        let mut values = Vec::with_capacity(total);
-        for &r in &self.rels {
-            let (shape, row) = sources
-                .iter()
-                .find(|(s, _)| s.has(r))
-                .unwrap_or_else(|| panic!("no source provides relation {r}"));
-            values.extend_from_slice(shape.rel_values(row, r));
-        }
-        Tuple::new(values)
-    }
-
     /// Total column count.
     pub fn arity(&self) -> usize {
         self.widths.iter().sum()
+    }
+
+    /// Flat columns of `query`'s projection within rows of this shape,
+    /// which must carry every projected relation.
+    pub fn projection_cols(&self, query: &MultiwayQuery) -> Vec<usize> {
+        query
+            .projection
+            .iter()
+            .map(|&(r, c)| self.col_range(r).start + c)
+            .collect()
+    }
+}
+
+/// How a join leaf builds its output row from the rows it joined — its
+/// *parts*: a pair's left and right row, a chain's row per dimension —
+/// and what that row is priced at.
+///
+/// The *full* joined row — every column of every relation the job
+/// covers, once — is what Algorithm 1's reducers write, and Eq. 2–4
+/// charge its encoded length as output. A job that persists or merges
+/// its rows builds exactly that row. A terminal job builds only the
+/// query's projected columns ([`OutRow::project`]) and prices the full
+/// row from its parts' memoised lengths, without building it. Either
+/// way the row is collected in one allocation.
+#[derive(Debug, Clone)]
+pub(crate) struct OutRow {
+    /// `(part, column)` per output column, in output order.
+    picks: Vec<(usize, usize)>,
+    /// Arity of the full joined row.
+    arity: usize,
+    /// `(part, columns)` the full row does not repeat: a relation some
+    /// earlier part already carries (a merge's shared relations).
+    repeated: Vec<(usize, Range<usize>)>,
+    /// Whether `picks` project; else they build the full row itself.
+    projected: bool,
+}
+
+impl OutRow {
+    /// The full row of shape `out` from parts shaped `parts`: each
+    /// relation's columns from the first part carrying it.
+    pub(crate) fn new(out: &IntermediateShape, parts: &[&IntermediateShape]) -> Self {
+        let first = |rel: usize| {
+            parts
+                .iter()
+                .position(|s| s.has(rel))
+                .unwrap_or_else(|| panic!("no part provides relation {rel}"))
+        };
+        let picks = out
+            .rels
+            .iter()
+            .flat_map(|&rel| {
+                let p = first(rel);
+                parts[p].col_range(rel).map(move |c| (p, c))
+            })
+            .collect();
+        let repeated = parts
+            .iter()
+            .enumerate()
+            .flat_map(|(p, s)| {
+                s.rels
+                    .iter()
+                    .filter(move |&&rel| first(rel) != p)
+                    .map(move |&rel| (p, s.col_range(rel)))
+            })
+            .collect();
+        OutRow {
+            picks,
+            arity: out.arity(),
+            repeated,
+            projected: false,
+        }
+    }
+
+    /// Build only `cols` (flat columns of the full row), in that order.
+    pub(crate) fn project(self, cols: &[usize]) -> Self {
+        OutRow {
+            picks: cols.iter().map(|&c| self.picks[c]).collect(),
+            projected: true,
+            ..self
+        }
+    }
+
+    /// The output row of `parts` and its priced bytes: the encoded
+    /// length of the full joined row.
+    #[inline]
+    pub(crate) fn build(&self, parts: &[&Tuple]) -> (Tuple, u64) {
+        let row: Tuple = self
+            .picks
+            .iter()
+            .map(|&(p, c)| parts[p].get(c).clone())
+            .collect();
+        let priced = if self.projected {
+            self.full_len(parts)
+        } else {
+            row.encoded_len()
+        };
+        (row, priced as u64)
+    }
+
+    /// Encoded length of the full joined row of `parts`, without
+    /// building it: the arity header, then every part's values less
+    /// the repeated columns.
+    fn full_len(&self, parts: &[&Tuple]) -> usize {
+        let values: usize = parts.iter().map(|t| t.values_len()).sum();
+        let repeated: usize = self
+            .repeated
+            .iter()
+            .map(|(p, cols)| codec::values_len(&parts[*p].values()[cols.clone()]))
+            .sum();
+        codec::arity_len(self.arity) + values - repeated
     }
 }
 
@@ -156,10 +240,11 @@ mod tests {
         assert_eq!(s.rels, vec![0, 2]);
         assert_eq!(s.offsets, vec![0, 2]);
         assert_eq!(s.arity(), 4);
-        let row = tuple![10, 11, 20, 21];
-        assert_eq!(s.value(&row, 0, 1), &Value::Int(11));
-        assert_eq!(s.value(&row, 2, 0), &Value::Int(20));
-        assert_eq!(s.rel_values(&row, 2), &[Value::Int(20), Value::Int(21)]);
+        assert_eq!(s.col_range(2), 2..4);
+        assert_eq!(s.projection_cols(&q), Vec::<usize>::new());
+        let mut projected = q.clone();
+        projected.projection = vec![(2, 1), (0, 0)];
+        assert_eq!(s.projection_cols(&projected), vec![3, 0]);
         assert!(s.has(0) && !s.has(1));
     }
 
@@ -175,15 +260,22 @@ mod tests {
     }
 
     #[test]
-    fn assemble_takes_first_source() {
+    fn out_row_takes_first_part_and_prices_the_full_row() {
         let q = query();
         let a = IntermediateShape::of(&q, &[0, 1]);
         let b = IntermediateShape::of(&q, &[1, 2]);
         let u = IntermediateShape::union(&q, &a, &b);
-        let ra = tuple![1, 2, 3, 4]; // r0=(1,2) r1=(3,4)
-        let rb = tuple![3, 4, 5, 6]; // r1=(3,4) r2=(5,6)
-        let row = u.assemble(&[(&a, &ra), (&b, &rb)]);
-        assert_eq!(row, tuple![1, 2, 3, 4, 5, 6]);
+        let ra = tuple![1, "two", 3, 4]; // r0=(1,"two") r1=(3,4)
+        let rb = tuple![3, 4, 500, 6.5]; // r1=(3,4) r2=(500,6.5)
+        let full = OutRow::new(&u, &[&a, &b]);
+        let (row, priced) = full.build(&[&ra, &rb]);
+        assert_eq!(row, tuple![1, "two", 3, 4, 500, 6.5]);
+        assert_eq!(priced, row.encoded_len() as u64);
+        // Projected: only the picked columns are built, in pick order,
+        // but the price is still the full row's.
+        let (picked, priced) = full.project(&[5, 0]).build(&[&ra, &rb]);
+        assert_eq!(picked, tuple![6.5, 1]);
+        assert_eq!(priced, row.encoded_len() as u64);
     }
 
     #[test]
@@ -191,8 +283,7 @@ mod tests {
     fn missing_relation_panics() {
         let q = query();
         let s = IntermediateShape::of(&q, &[0]);
-        let row = tuple![1, 2];
-        s.value(&row, 1, 0);
+        s.col_range(1);
     }
 
     #[test]

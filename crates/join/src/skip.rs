@@ -239,7 +239,7 @@ mod tests {
             .unwrap()
     }
 
-    fn pair_job(q: &MultiwayQuery, l: &Relation, r: &Relation, strategy: PairStrategy) -> PairJob {
+    fn pair_job(q: &MultiwayQuery, strategy: PairStrategy) -> PairJob {
         let compiled = q.compile().unwrap();
         let preds: Vec<CompiledPredicate> = compiled
             .per_condition
@@ -253,7 +253,6 @@ mod tests {
             IntermediateShape::base(q, 1),
             preds,
             strategy,
-            (l.len() as u64, r.len() as u64),
             6,
         )
     }
@@ -270,7 +269,7 @@ mod tests {
         let cfg = ClusterConfig::default();
         dfs.put_relation("L", &l, &cfg);
         dfs.put_relation("R", &r, &cfg);
-        let job = pair_job(&q, &l, &r, PairStrategy::Broadcast { replicated: 1 });
+        let job = pair_job(&q, PairStrategy::Broadcast { replicated: 1 });
         let inputs = [InputSpec::new("L", 0), InputSpec::new("R", 1)];
         let (on, off) = run_both(&job, &dfs, &inputs, job.reducers());
 
@@ -312,7 +311,7 @@ mod tests {
         let cfg = ClusterConfig::default();
         dfs.put_relation("L", &l, &cfg);
         dfs.put_relation("R", &r, &cfg);
-        let job = pair_job(&q, &l, &r, PairStrategy::OneBucket);
+        let job = pair_job(&q, PairStrategy::Broadcast { replicated: 0 });
         let inputs = [InputSpec::new("L", 0), InputSpec::new("R", 1)];
         let (on, off) = run_both(&job, &dfs, &inputs, job.reducers());
         assert!(on.output.rows().is_empty());
@@ -376,7 +375,7 @@ mod tests {
         let cfg = ClusterConfig::default();
         dfs.put_relation("L", &l, &cfg);
         dfs.put_relation("R", &r, &cfg);
-        let job = pair_job(&q, &l, &r, PairStrategy::Broadcast { replicated: 1 });
+        let job = pair_job(&q, PairStrategy::Broadcast { replicated: 1 });
         let inputs = [InputSpec::new("L", 0), InputSpec::new("R", 1)];
         let (on, off) = run_both(&job, &dfs, &inputs, job.reducers());
         assert_eq!(on.output.rows(), off.output.rows());

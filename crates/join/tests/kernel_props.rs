@@ -8,9 +8,14 @@
 //! The chain reducer has its own differential target at the bottom:
 //! [`ChainThetaJob`]'s indexed descent against its whole-group scan
 //! (`reduce_scan_reference`) — rows, row **order** and the priced
-//! candidate count, per reduce component — and, through the MapReduce
-//! engine, the job against a wrapper that hides its dead-row filter:
-//! rows, row order and every priced figure, buffered and streamed.
+//! candidate count, per reduce component.
+//!
+//! Both jobs also run through the MapReduce engine as a query's
+//! terminal job that builds only the projected columns, and as a job
+//! that builds the whole joined row, buffered and streamed, with and
+//! without the dead-row filter (a wrapper hides it): the projected rows
+//! must be the whole rows' projection in the same order, and every
+//! priced figure — output bytes included — must not move.
 //!
 //! Instances randomise the schemas (arity and per-column types over
 //! Int/Double/Str), the predicates (`<`, `<=`, `=`, `!=`, and the
@@ -21,10 +26,10 @@
 use mwtj_hilbert::PartitionStrategy;
 use mwtj_join::kernel::{KernelKind, PairKernel};
 use mwtj_join::oracle::{canonicalize, oracle_join};
-use mwtj_join::{ChainThetaJob, IntermediateShape};
+use mwtj_join::{ChainThetaJob, IntermediateShape, PairJob, PairStrategy};
 use mwtj_mapreduce::{
-    BatchSink, ClusterConfig, Dfs, Emit, Engine, FaultPlan, InputSpec, MrJob, RowBatch, SinkSpec,
-    SkipFilter, TagZones, TaggedRecord,
+    BatchSink, ClusterConfig, Dfs, Emit, Engine, FaultPlan, InputSpec, MrJob, ReduceEmit, RowBatch,
+    SinkSpec, SkipFilter, TagZones, TaggedRecord,
 };
 use mwtj_query::theta::{ColExpr, CompiledPredicate};
 use mwtj_query::{MultiwayQuery, QueryBuilder, ThetaOp};
@@ -121,7 +126,57 @@ fn check_agreement(q: &MultiwayQuery, l: &Relation, r: &Relation) -> KernelKind 
         "{:?} index vs oracle",
         kernel.kind()
     );
+    assert_pair_projection_is_invisible(q, l, r, !kernel.equality_key().is_empty());
     kernel.kind()
+}
+
+/// An engine holding `rels` in blocks small enough for several map tasks
+/// each, and the inputs reading them, tagged in order.
+fn small_block_engine(rels: &[Relation]) -> (Engine, Vec<InputSpec>) {
+    let mut cfg = ClusterConfig::default();
+    cfg.params.block_bytes = 256;
+    let dfs = Dfs::new();
+    let mut inputs = Vec::new();
+    for (tag, rel) in rels.iter().enumerate() {
+        dfs.put_relation(&format!("in{tag}"), rel, &cfg);
+        inputs.push(InputSpec::new(format!("in{tag}"), tag as u8));
+    }
+    (Engine::new(cfg, dfs), inputs)
+}
+
+/// The pair instance through the engine under every strategy it admits:
+/// see [`assert_projection_is_invisible`].
+fn assert_pair_projection_is_invisible(
+    q: &MultiwayQuery,
+    l: &Relation,
+    r: &Relation,
+    hashable: bool,
+) {
+    let (engine, inputs) = small_block_engine(&[l.clone(), r.clone()]);
+    // The right side's last column, then the left side's first.
+    let mut projected = q.clone();
+    projected.projection = vec![(1, r.schema().arity() - 1), (0, 0)];
+    let preds: Vec<CompiledPredicate> = q
+        .compile()
+        .expect("query compiles")
+        .per_condition
+        .iter()
+        .flat_map(|c| c.iter().copied())
+        .collect();
+    let mut strategies = vec![PairStrategy::Broadcast { replicated: 0 }];
+    if hashable {
+        strategies.push(PairStrategy::EquiHash);
+    }
+    for strategy in strategies {
+        let job = || {
+            let (left, right) = (IntermediateShape::base(q, 0), IntermediateShape::base(q, 1));
+            PairJob::new("pair", q, left, right, preds.clone(), strategy, 3)
+        };
+        let (wide, narrow) = (job(), job().projecting(&projected));
+        let cols = wide.out_shape().projection_cols(&projected);
+        let context = || format!("query: {q}\nstrategy={strategy:?}\nl: {l:?}\nr: {r:?}");
+        assert_projection_is_invisible(&engine, &wide, &narrow, &cols, &inputs, 3, &context);
+    }
 }
 
 proptest! {
@@ -205,6 +260,53 @@ proptest! {
         let kind = check_agreement(&q, &l, &r);
         prop_assert_eq!(kind, KernelKind::Hash);
     }
+
+    /// A merge of two partial results on their shared relation (NULLs
+    /// in its join column, a row id for identity): the projecting merge
+    /// prices the full joined row, which carries the shared relation's
+    /// columns once — not the sum of its two sides.
+    #[test]
+    fn merge_projection_is_invisible(
+        ty in 0usize..3,
+        raws in prop::collection::vec(prop::collection::vec(any::<i64>(), 0..14), 3),
+    ) {
+        let types = [TYPES[ty], DataType::Int];
+        let rel = |name: &str, raws: &[i64]| {
+            let schema = Schema::from_pairs(name, &[("c0", types[0]), ("c1", types[1])]);
+            let rows = raws
+                .iter()
+                .enumerate()
+                .map(|(i, &raw)| Tuple::new(vec![materialise(types[0], raw), Value::Int(i as i64)]))
+                .collect();
+            Relation::from_rows_unchecked(schema, rows)
+        };
+        let (r0, r1, r2) = (rel("r0", &raws[0]), rel("r1", &raws[1]), rel("r2", &raws[2]));
+        let chain = |rels: &[&Relation]| {
+            let mut qb = QueryBuilder::new("merge");
+            for r in rels {
+                qb = qb.relation(r.schema().clone());
+            }
+            for w in rels.windows(2) {
+                qb = qb.join(w[0].schema().name(), "c0", ThetaOp::Le, w[1].schema().name(), "c0");
+            }
+            qb.build().unwrap()
+        };
+        let q = chain(&[&r0, &r1, &r2]);
+        let (sa, sb) = (IntermediateShape::of(&q, &[0, 1]), IntermediateShape::of(&q, &[1, 2]));
+        let ia = oracle_join(&chain(&[&r0, &r1]), &[&r0, &r1]);
+        let ib = oracle_join(&chain(&[&r1, &r2]), &[&r1, &r2]);
+        let (engine, inputs) = small_block_engine(&[
+            Relation::from_rows_unchecked(sa.schema.clone(), ia),
+            Relation::from_rows_unchecked(sb.schema.clone(), ib),
+        ]);
+        let mut projected = q.clone();
+        projected.projection = vec![(2, 0), (1, 0), (0, 1)];
+        let merge = || PairJob::new("merge", &q, sa.clone(), sb.clone(), vec![], PairStrategy::EquiHash, 3);
+        let (wide, narrow) = (merge(), merge().projecting(&projected));
+        let cols = wide.out_shape().projection_cols(&projected);
+        let context = || format!("r0: {r0:?}\nr1: {r1:?}\nr2: {r2:?}");
+        assert_projection_is_invisible(&engine, &wide, &narrow, &cols, &inputs, 3, &context);
+    }
 }
 
 /// A value for the chain differential: every class the hash and
@@ -282,9 +384,9 @@ fn assert_range_equals_scan(
     }
 }
 
-/// The chain job without its dead-row filter: everything but
+/// A job without its dead-row filter: everything but
 /// [`MrJob::dead_rows`] delegates, so the engine ships every row.
-struct ShipAll<'j>(&'j ChainThetaJob);
+struct ShipAll<'j>(&'j dyn MrJob);
 
 impl MrJob for ShipAll<'_> {
     fn name(&self) -> String {
@@ -299,17 +401,14 @@ impl MrJob for ShipAll<'_> {
         self.0.map(tag, row, block_seed, row_idx, emit)
     }
 
-    fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
-        self.0.reduce(key, records, out)
-    }
-
-    fn reduce_streamed(
+    fn reduce_task(
         &self,
-        key: u64,
+        r: u64,
         records: &[TaggedRecord],
-        emit: &mut dyn FnMut(Tuple) -> bool,
+        counted: &[u64],
+        emit: &mut ReduceEmit<'_>,
     ) -> u64 {
-        self.0.reduce_streamed(key, records, emit)
+        self.0.reduce_task(r, records, counted, emit)
     }
 
     fn skip_filter(&self, zones: &TagZones) -> Option<Box<dyn SkipFilter>> {
@@ -328,15 +427,15 @@ impl BatchSink for Collect {
     }
 }
 
-/// One engine run, buffered or streamed: its rows as text and every
-/// figure the simulated clock prices.
+/// One engine run, buffered or streamed: its rows and every figure the
+/// simulated clock prices.
 fn engine_run(
     engine: &Engine,
     job: &dyn MrJob,
     inputs: &[InputSpec],
     reducers: u32,
     streamed: bool,
-) -> (String, [u64; 5], [f64; 2]) {
+) -> (Vec<Tuple>, [u64; 5], [f64; 2]) {
     let none = FaultPlan::none();
     let (rows, m) = if streamed {
         let sink = Arc::new(Collect::default());
@@ -360,37 +459,77 @@ fn engine_run(
         m.output_bytes,
     ];
     let clock = [m.reduce_input_mean_bytes, m.sim_total_secs];
-    (format!("{rows:?}"), priced, clock)
+    (rows, priced, clock)
 }
 
-/// The job through the engine, with and without its dead-row filter:
-/// the same rows in the same order, and the same priced figures,
-/// buffered and streamed.
+/// `wide` (building whole joined rows) and `narrow` (the same job,
+/// projecting `cols` of them in the leaf) through the engine, buffered
+/// and streamed, each with and without its dead-row filter: every run
+/// prices the same figures, the wide runs return the same rows in the
+/// same order, and the narrow runs return exactly their projection.
+/// Rows compare as text: `Value` equality goes through the f64 view and
+/// would take `Int(2⁵³ + 1)` for `Double(2⁵³)`.
+fn assert_projection_is_invisible(
+    engine: &Engine,
+    wide: &dyn MrJob,
+    narrow: &dyn MrJob,
+    cols: &[usize],
+    inputs: &[InputSpec],
+    reducers: u32,
+    context: &dyn Fn() -> String,
+) {
+    let (rows, priced, clock) = engine_run(engine, wide, inputs, reducers, false);
+    let projected: Vec<Tuple> = rows
+        .iter()
+        .map(|row| cols.iter().map(|&c| row.get(c).clone()).collect())
+        .collect();
+    let (want_wide, want_narrow) = (format!("{rows:?}"), format!("{projected:?}"));
+    for streamed in [false, true] {
+        for (job, want, what) in [
+            (wide, &want_wide, "whole-row"),
+            (narrow, &want_narrow, "projecting"),
+        ] {
+            for ship_all in [false, true] {
+                let shipped = ShipAll(job);
+                let job: &dyn MrJob = if ship_all { &shipped } else { job };
+                let (got, got_priced, got_clock) =
+                    engine_run(engine, job, inputs, reducers, streamed);
+                let got = format!("{got:?}");
+                let what = format!("{what} streamed={streamed} ship_all={ship_all}");
+                assert!(
+                    &got == want,
+                    "rows differ ({what})\n got:  {got}\n want: {want}\n{}",
+                    context()
+                );
+                assert!(
+                    (got_priced, got_clock) == (priced, clock),
+                    "priced figures differ ({what})\n got:  {got_priced:?} {got_clock:?}\n want: {priced:?} {clock:?}\n{}",
+                    context()
+                );
+            }
+        }
+    }
+}
+
+/// The chain job through the engine: see
+/// [`assert_projection_is_invisible`]. The filter counts dead rows
+/// instead of shipping them; the projection drops columns in the leaf.
+/// Neither may be visible in rows, row order or any priced figure.
 fn assert_elision_is_invisible(
     job: &ChainThetaJob,
+    narrow: &ChainThetaJob,
+    cols: &[usize],
     rels: &[Vec<Tuple>],
     context: &dyn Fn() -> String,
 ) {
-    let mut cfg = ClusterConfig::default();
-    cfg.params.block_bytes = 256; // several map tasks per relation
-    let dfs = Dfs::new();
-    let mut inputs = Vec::new();
-    for (dim, &rel) in job.dims().iter().enumerate() {
-        let schema = Schema::from_pairs("r", &[("c0", DataType::Double), ("c1", DataType::Double)]);
-        let relation = Relation::from_rows_unchecked(schema, rels[rel].clone());
-        dfs.put_relation(&format!("rel{rel}"), &relation, &cfg);
-        inputs.push(InputSpec::new(format!("rel{rel}"), dim as u8));
-    }
-    let engine = Engine::new(cfg, dfs);
-    for streamed in [false, true] {
-        let counted = engine_run(&engine, job, &inputs, job.reducers(), streamed);
-        let shipped = engine_run(&engine, &ShipAll(job), &inputs, job.reducers(), streamed);
-        assert!(
-            counted == shipped,
-            "dead-row elision is visible (streamed={streamed})\n counted: {counted:?}\n shipped: {shipped:?}\n{}",
-            context()
-        );
-    }
+    let schema = Schema::from_pairs("r", &[("c0", DataType::Double), ("c1", DataType::Double)]);
+    let dims: Vec<Relation> = job
+        .dims()
+        .iter()
+        .map(|&rel| Relation::from_rows_unchecked(schema.clone(), rels[rel].clone()))
+        .collect();
+    let (engine, inputs) = small_block_engine(&dims);
+    assert_projection_is_invisible(&engine, job, narrow, cols, &inputs, job.reducers(), context);
 }
 
 proptest! {
@@ -400,8 +539,9 @@ proptest! {
     /// indexes distinguish, under every partitioning the suite uses:
     /// the indexed descent returns the scan's rows, in the scan's
     /// order, and prices the scan's work — and through the engine, a
-    /// run that counts dead rows instead of shipping them is
-    /// indistinguishable from one that ships them.
+    /// run that counts dead rows instead of shipping them, or builds
+    /// only the projected columns, is indistinguishable from one that
+    /// ships every row and builds it whole.
     #[test]
     fn chain_range_descent_equals_scan_reference(
         ndims in 2usize..5,
@@ -470,11 +610,16 @@ proptest! {
             }
         }
         let q = qb.build().expect("generated query builds");
+        // The last relation's second column, then the first's first.
+        let mut projected = q.clone();
+        projected.projection = vec![(ndims - 1, 1), (0, 0)];
         let edges: Vec<usize> = (0..q.num_conditions()).collect();
         let cards: Vec<u64> = rels.iter().map(|r| r.len() as u64).collect();
         for strategy in [PartitionStrategy::Hilbert, PartitionStrategy::Grid] {
             for k_r in [1u32, 4, 9] {
                 let job = ChainThetaJob::new(&q, &edges, &cards, k_r, strategy);
+                let narrow = ChainThetaJob::new(&q, &edges, &cards, k_r, strategy).projecting(&projected);
+                let cols = job.out_shape().projection_cols(&projected);
                 let mut groups: BTreeMap<u64, Vec<TaggedRecord>> = BTreeMap::new();
                 for (dim, &rel) in job.dims().iter().enumerate() {
                     for (i, row) in rels[rel].iter().enumerate() {
@@ -485,7 +630,7 @@ proptest! {
                 }
                 let context = || format!("query: {q}\nk_r={k_r} strategy={strategy:?}\ndata: {rels:#?}");
                 assert_range_equals_scan(&job, &groups, &context);
-                assert_elision_is_invisible(&job, &rels, &context);
+                assert_elision_is_invisible(&job, &narrow, &cols, &rels, &context);
             }
         }
     }

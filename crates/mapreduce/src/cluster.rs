@@ -237,9 +237,15 @@ mod tests {
             }
         }
 
-        fn reduce(&self, _key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
+        fn reduce_task(
+            &self,
+            _r: u64,
+            records: &[TaggedRecord],
+            _counted: &[u64],
+            emit: &mut crate::job::ReduceEmit<'_>,
+        ) -> u64 {
             for r in records {
-                out.push(r.tuple.clone());
+                emit(r.tuple.clone(), r.tuple.encoded_len() as u64);
             }
             records.len() as u64
         }

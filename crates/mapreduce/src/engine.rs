@@ -8,7 +8,9 @@ use crate::config::ClusterConfig;
 use crate::dfs::{logical_file_name, Dfs};
 use crate::error::ExecError;
 use crate::faults::{FaultPlan, TaskKind};
-use crate::job::{DeadRows, InputSpec, KeptRows, MrJob, SkipFilter, TagZones, TaggedRecord};
+use crate::job::{
+    group_key, DeadRows, InputSpec, KeptRows, MrJob, SkipFilter, TagZones, TaggedRecord,
+};
 use crate::metrics::JobMetrics;
 use crate::sink::{RowBatch, SinkSpec};
 use mwtj_storage::{Relation, Tuple};
@@ -65,20 +67,24 @@ struct ReduceTaskOut {
 #[derive(Clone, Copy)]
 struct Reduce<'a> {
     job: &'a dyn MrJob,
-    /// The job's dead-row filter; when present, its counted reduce runs
-    /// once per reducer in place of the job's per-group reduce.
-    dead: Option<&'a dyn DeadRows>,
+    /// Records the job's dead-row filter counted instead of shipping
+    /// (empty without a filter).
     counted: &'a Counted,
-    reducers: u32,
     faults: &'a FaultPlan,
     cancel: Option<&'a CancelToken>,
 }
 
 impl Reduce<'_> {
-    /// Reducer `r`'s input bytes: its shipped records and those counted
-    /// for it.
-    fn in_bytes(&self, records: &[TaggedRecord], r: usize) -> u64 {
-        records.iter().map(|x| x.wire_bytes() as u64).sum::<u64>() + self.counted.bytes_of(r)
+    /// Reducer `r`'s input, ready for its one [`MrJob::reduce_task`]
+    /// call: its input bytes (shipped records and those counted for
+    /// it), then the sort phase — a stable sort by grouping key, so
+    /// groups run in ascending key order with arrival order kept within
+    /// each.
+    fn sort(&self, records: &mut [TaggedRecord], r: usize) -> u64 {
+        let in_bytes =
+            records.iter().map(|x| x.wire_bytes() as u64).sum::<u64>() + self.counted.bytes_of(r);
+        records.sort_by_key(group_key);
+        in_bytes
     }
 }
 
@@ -146,7 +152,8 @@ impl Counted {
         }
     }
 
-    /// Reducer `r`'s counted records, per tag.
+    /// Reducer `r`'s counted records, per tag (empty without a
+    /// filter).
     fn of(&self, r: usize) -> &[u64] {
         &self.records[r * self.tags..(r + 1) * self.tags]
     }
@@ -585,8 +592,8 @@ impl Engine {
         // ---- reduce phase (real) ----
         // Hadoop's actual sort-merge semantics: each reduce task sorts
         // its input by grouping key in place (stable, so records keep
-        // their arrival order within a group) and hands the job
-        // contiguous `&[TaggedRecord]` group slices — zero record
+        // their arrival order within a group) and hands the job its
+        // whole sorted input in one `reduce_task` call — zero record
         // clones, no per-key re-bucketing.
         //
         // Two drive modes with identical results and accounting:
@@ -598,16 +605,16 @@ impl Engine {
         let examined_before = job.reduce_examined();
         let reduce = Reduce {
             job,
-            dead,
             counted: &counted,
-            reducers,
             faults,
             cancel,
         };
-        let reduce_outs: Vec<ReduceTaskOut> = if let Some(spec) = sink {
-            self.reduce_streamed_phase(&reduce, reducer_inputs, spec)?
-        } else {
-            self.reduce_parallel_phase(&reduce, reducer_inputs)?
+        let (reduce_outs, mut deliver) = match sink {
+            Some(spec) => self.reduce_streamed_phase(&reduce, reducer_inputs, spec)?,
+            None => (
+                self.reduce_parallel_phase(&reduce, reducer_inputs)?,
+                std::time::Duration::ZERO,
+            ),
         };
 
         // ---- simulated reduce phase ----
@@ -616,14 +623,13 @@ impl Engine {
         // read of its input, CPU per candidate, and the output write
         // (replicated if persisted to DFS, plain local write otherwise).
         let mut per_reduce: Vec<(f64, u32, usize)> = Vec::with_capacity(n_red);
-        let mut output_rows: Vec<Tuple> = Vec::new();
         let mut reduce_input_max = 0u64;
         let mut reduce_input_sum = 0u64;
         let mut reduce_candidates = 0u64;
         let mut output_bytes = 0u64;
         let mut output_records = 0u64;
         let mut real_reduce_retries = 0u32;
-        for (r, ro) in reduce_outs.into_iter().enumerate() {
+        for (r, ro) in reduce_outs.iter().enumerate() {
             reduce_input_max = reduce_input_max.max(ro.in_bytes);
             reduce_input_sum += ro.in_bytes;
             reduce_candidates = reduce_candidates.saturating_add(ro.candidates);
@@ -643,7 +649,6 @@ impl Engine {
                 * attempts as f64
                 + faults.backoff_total_secs(attempts.saturating_sub(1));
             per_reduce.push((dur, attempts, r));
-            output_rows.extend(ro.rows);
         }
         per_reduce.sort_by(|a, b| b.0.total_cmp(&a.0)); // longest first
         let reduce_attempts: u32 = per_reduce.iter().map(|x| x.1).sum();
@@ -659,10 +664,19 @@ impl Engine {
             sim_total = sim_total.max(end);
         }
 
+        // Output assembly: the buffered path's result relation (and its
+        // DFS write) — timed once, like the streamed path's sends, since
+        // a clock read per row would cost as much as building the row.
+        let assembling = Instant::now();
+        let mut output_rows: Vec<Tuple> = Vec::with_capacity(output_records as usize);
+        for ro in reduce_outs {
+            output_rows.extend(ro.rows);
+        }
         let output = Relation::from_rows_unchecked(job.output_schema(), output_rows);
         if let Some(name) = out_file {
             self.dfs.put_relation(name, &output, &self.config);
         }
+        deliver += assembling.elapsed();
 
         let done = Instant::now();
         let metrics = JobMetrics {
@@ -693,6 +707,7 @@ impl Engine {
             real_map_secs: (map_done - wall_start).as_secs_f64(),
             real_shuffle_secs: (shuffle_done - map_done).as_secs_f64(),
             real_reduce_secs: (done - shuffle_done).as_secs_f64(),
+            real_deliver_secs: deliver.as_secs_f64(),
             map_attempts,
             reduce_attempts,
             real_map_retries,
@@ -719,7 +734,6 @@ impl Engine {
         reduce: &Reduce<'_>,
         reducer_inputs: Vec<Vec<TaggedRecord>>,
     ) -> Result<Vec<ReduceTaskOut>, ExecError> {
-        let reducers = reduce.reducers;
         let n_red = reducer_inputs.len();
         let reduce_results: Vec<Mutex<Option<Result<ReduceTaskOut, ExecError>>>> =
             (0..n_red).map(|_| Mutex::new(None)).collect();
@@ -736,25 +750,8 @@ impl Engine {
                         break;
                     }
                     let mut records = std::mem::take(&mut *reducer_inputs[r].lock());
-                    let in_bytes = reduce.in_bytes(&records, r);
-                    // Stable sort = the sort phase; keys then run in
-                    // ascending order with arrival order preserved
-                    // within each group, exactly as the previous
-                    // hash-then-sort-keys grouping produced.
-                    records.sort_by_key(|rec| rec_key(rec, reducers, r));
-                    let outcome =
-                        run_reduce_task(reduce, &records, r).map(|((out, candidates), stats)| {
-                            let out_bytes: u64 = out.iter().map(|t| t.encoded_len() as u64).sum();
-                            let out_records = out.len() as u64;
-                            ReduceTaskOut {
-                                rows: out,
-                                in_bytes,
-                                candidates,
-                                out_bytes,
-                                out_records,
-                                stats,
-                            }
-                        });
+                    let in_bytes = reduce.sort(&mut records, r);
+                    let outcome = run_reduce_task(reduce, &records, r, in_bytes);
                     if outcome.is_err() {
                         abort_all.store(true, Ordering::Relaxed);
                     }
@@ -788,6 +785,8 @@ impl Engine {
     /// be short. Aborts with [`ExecError::Cancelled`] as soon as the
     /// sink reports its receiver gone (or the cancel token flips;
     /// [`ExecError::DeadlineExceeded`] when its deadline passes).
+    /// Returns the tasks' outcomes and the wall time spent blocked in
+    /// [`BatchSink::send`](crate::BatchSink::send), timed per batch.
     ///
     /// Fault semantics on this path: **injected** aborts fire at
     /// attempt start — after the sort, before any row is emitted — so
@@ -803,10 +802,9 @@ impl Engine {
         reduce: &Reduce<'_>,
         reducer_inputs: Vec<Vec<TaggedRecord>>,
         spec: &SinkSpec,
-    ) -> Result<Vec<ReduceTaskOut>, ExecError> {
+    ) -> Result<(Vec<ReduceTaskOut>, std::time::Duration), ExecError> {
         let Reduce {
             job,
-            reducers,
             faults,
             cancel,
             ..
@@ -814,9 +812,15 @@ impl Engine {
         let cap = spec.batch_rows.max(1);
         let mut outs = Vec::with_capacity(reducer_inputs.len());
         let mut batch: Vec<Tuple> = Vec::with_capacity(cap);
+        let mut deliver = std::time::Duration::ZERO;
+        let send = |rows: Vec<Tuple>, deliver: &mut std::time::Duration| {
+            let sending = Instant::now();
+            let delivered = spec.sink.send(RowBatch { rows });
+            *deliver += sending.elapsed();
+            delivered
+        };
         for (r, mut records) in reducer_inputs.into_iter().enumerate() {
-            let in_bytes = reduce.in_bytes(&records, r);
-            records.sort_by_key(|rec| rec_key(rec, reducers, r));
+            let in_bytes = reduce.sort(&mut records, r);
             let mut stats = TaskStats::default();
             let max_attempts = faults.max_attempts.max(1);
             let (candidates, out_bytes, out_records) = loop {
@@ -846,11 +850,11 @@ impl Engine {
                 let mut out_records = 0u64;
                 let mut candidates = 0u64;
                 let attempt_result = run_attempt(|| {
-                    let emit = &mut |row: Tuple| {
+                    let emit = &mut |row: Tuple, priced: u64| {
                         if cancelled.get() || deadline_hit.get() {
                             return false;
                         }
-                        out_bytes += row.encoded_len() as u64;
+                        out_bytes += priced;
                         out_records += 1;
                         batch.push(row);
                         if batch.len() >= cap {
@@ -867,30 +871,15 @@ impl Engine {
                                     }
                                 }
                             }
-                            if !spec.sink.send(RowBatch {
-                                rows: std::mem::take(&mut batch),
-                            }) {
+                            let full = std::mem::replace(&mut batch, Vec::with_capacity(cap));
+                            if !send(full, &mut deliver) {
                                 cancelled.set(true);
                                 return false;
                             }
                         }
                         true
                     };
-                    if let Some(dead) = reduce.dead {
-                        candidates = dead.reduce(r as u64, &records, reduce.counted.of(r), emit);
-                        return Ok(());
-                    }
-                    let mut start = 0usize;
-                    while start < records.len() && !cancelled.get() && !deadline_hit.get() {
-                        let k = rec_key(&records[start], reducers, r);
-                        let end = group_end(&records, start, reducers, r);
-                        candidates = candidates.saturating_add(job.reduce_streamed(
-                            k,
-                            &records[start..end],
-                            emit,
-                        ));
-                        start = end;
-                    }
+                    candidates = job.reduce_task(r as u64, &records, reduce.counted.of(r), emit);
                     Ok(())
                 });
                 if deadline_hit.get() {
@@ -929,10 +918,10 @@ impl Engine {
                 stats,
             });
         }
-        if !batch.is_empty() && !spec.sink.send(RowBatch { rows: batch }) {
+        if !batch.is_empty() && !send(batch, &mut deliver) {
             return Err(ExecError::Cancelled);
         }
-        Ok(outs)
+        Ok((outs, deliver))
     }
 }
 
@@ -1062,22 +1051,21 @@ fn run_map_task(
 }
 
 /// Execute one buffered reduce task under the bounded retry loop over
-/// its already-sorted input. Returns `((rows, candidates), stats)` or
-/// [`ExecError::TaskFailed`]. A retry is safe because attempts only
-/// *read* `records` (sorted once, before the first attempt) and start
-/// with a fresh output buffer; the injected abort fires at the first
-/// group boundary past the input midpoint (or after the loop when one
-/// giant group swallows the midpoint), so real partial work really is
-/// thrown away and redone. Under a dead-row filter the whole input is
-/// one counted call, aborted after it.
+/// its already-sorted input (of `in_bytes`): the surviving attempt's
+/// rows, priced bytes, candidates and attempt accounting, or
+/// [`ExecError::TaskFailed`]. A retry is safe because
+/// attempts only *read* `records` (sorted once, before the first
+/// attempt) and start with a fresh output buffer; the injected abort
+/// fires after the task's one [`MrJob::reduce_task`] call, so real work
+/// really is thrown away and redone.
 fn run_reduce_task(
     reduce: &Reduce<'_>,
     records: &[TaggedRecord],
     r: usize,
-) -> Result<((Vec<Tuple>, u64), TaskStats), ExecError> {
+    in_bytes: u64,
+) -> Result<ReduceTaskOut, ExecError> {
     let Reduce {
         job,
-        reducers,
         faults,
         cancel,
         ..
@@ -1092,37 +1080,36 @@ fn run_reduce_task(
         }
         let inject = faults.fails(TaskKind::Reduce, r as u32, attempt);
         let panic_mode = inject && faults.panics(TaskKind::Reduce, r as u32, attempt);
-        let inject_at = records.len() / 2;
-        let mut out: Vec<Tuple> = Vec::new();
+        let mut rows: Vec<Tuple> = Vec::new();
+        let mut out_bytes = 0u64;
         let mut candidates = 0u64;
         let attempt_result = run_attempt(|| {
-            if let Some(dead) = reduce.dead {
-                candidates = dead.reduce(r as u64, records, reduce.counted.of(r), &mut |row| {
-                    out.push(row);
+            candidates = job.reduce_task(
+                r as u64,
+                records,
+                reduce.counted.of(r),
+                &mut |row, priced| {
+                    out_bytes += priced;
+                    rows.push(row);
                     true
-                });
-            } else {
-                let mut start = 0usize;
-                while start < records.len() {
-                    if inject && start >= inject_at {
-                        abort_injected("reduce", r as u32, attempt, panic_mode)?;
-                    }
-                    let k = rec_key(&records[start], reducers, r);
-                    let end = group_end(records, start, reducers, r);
-                    candidates =
-                        candidates.saturating_add(job.reduce(k, &records[start..end], &mut out));
-                    start = end;
-                }
-            }
-            // One giant group can swallow the midpoint; a selected
-            // attempt must still really abort.
+                },
+            );
             if inject {
                 abort_injected("reduce", r as u32, attempt, panic_mode)?;
             }
             Ok(())
         });
         match attempt_result {
-            Ok(()) => return Ok(((out, candidates), stats)),
+            Ok(()) => {
+                return Ok(ReduceTaskOut {
+                    out_records: rows.len() as u64,
+                    rows,
+                    in_bytes,
+                    candidates,
+                    out_bytes,
+                    stats,
+                })
+            }
             Err(detail) => {
                 stats.retries += 1;
                 if detail.starts_with("panic") {
@@ -1138,34 +1125,6 @@ fn run_reduce_task(
                 }
             }
         }
-    }
-}
-
-/// End (exclusive) of the key group starting at `start` in key-sorted
-/// `records`.
-fn group_end(records: &[TaggedRecord], start: usize, reducers: u32, r: usize) -> usize {
-    let k = rec_key(&records[start], reducers, r);
-    let mut end = start + 1;
-    while end < records.len() && rec_key(&records[end], reducers, r) == k {
-        end += 1;
-    }
-    end
-}
-
-/// Reduce-side grouping key for a record that landed in reducer `r`.
-///
-/// Two kinds of jobs flow through the engine. *Partition* jobs (Hilbert
-/// chain join, 1-Bucket-Theta) emit the reduce component id as the
-/// partition key and want the whole partition as a single group — their
-/// records group under `r`. *Hash* jobs (equi-join, merges) need one
-/// group per distinct key even when several keys share a reducer — they
-/// set the [`GROUP_BY_AUX`] bit and stash the full grouping key in
-/// [`TaggedRecord::aux`].
-fn rec_key(rec: &TaggedRecord, _reducers: u32, r: usize) -> u64 {
-    if rec.aux & GROUP_BY_AUX != 0 {
-        rec.aux & !GROUP_BY_AUX
-    } else {
-        r as u64
     }
 }
 
@@ -1202,8 +1161,15 @@ fn block_seed(job: &str, file: &str, block: u64) -> u64 {
     h.finish()
 }
 
-/// Mask marking [`TaggedRecord::aux`] as the reduce grouping key (see
-/// `rec_key`).
+/// Mask marking [`TaggedRecord::aux`] as the reduce grouping key.
+///
+/// Two kinds of jobs flow through the engine. *Partition* jobs (Hilbert
+/// chain join, broadcast pair join) emit the reduce component id as the
+/// partition key and want the whole partition as a single group. *Hash*
+/// jobs (equi-join, merges) need one group per distinct key even when
+/// several keys share a reducer — they set this bit and stash the full
+/// grouping key in [`TaggedRecord::aux`]; [`key_groups`](crate::key_groups)
+/// walks those groups.
 pub const GROUP_BY_AUX: u64 = 1 << 63;
 
 #[cfg(test)]
@@ -1245,8 +1211,18 @@ mod tests {
             );
         }
 
-        fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
-            out.push(tuple![key as i64, records.len() as i64]);
+        fn reduce_task(
+            &self,
+            _r: u64,
+            records: &[TaggedRecord],
+            _counted: &[u64],
+            emit: &mut crate::job::ReduceEmit<'_>,
+        ) -> u64 {
+            for group in crate::job::key_groups(records) {
+                let row = tuple![(group[0].aux & !GROUP_BY_AUX) as i64, group.len() as i64];
+                let bytes = row.encoded_len() as u64;
+                emit(row, bytes);
+            }
             records.len() as u64
         }
     }
@@ -1368,12 +1344,20 @@ mod tests {
                 );
             }
 
-            fn reduce(&self, key: u64, records: &[TaggedRecord], _out: &mut Vec<Tuple>) -> u64 {
-                let vals: Vec<i64> = records
-                    .iter()
-                    .map(|r| r.tuple.get(0).as_int().unwrap())
-                    .collect();
-                self.seen.lock().push((key, vals));
+            fn reduce_task(
+                &self,
+                _r: u64,
+                records: &[TaggedRecord],
+                _counted: &[u64],
+                _emit: &mut crate::job::ReduceEmit<'_>,
+            ) -> u64 {
+                for group in crate::job::key_groups(records) {
+                    let vals: Vec<i64> = group
+                        .iter()
+                        .map(|r| r.tuple.get(0).as_int().unwrap())
+                        .collect();
+                    self.seen.lock().push((group[0].aux & !GROUP_BY_AUX, vals));
+                }
                 records.len() as u64
             }
         }

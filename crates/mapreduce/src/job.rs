@@ -7,10 +7,18 @@
 //!
 //! This is deliberately the narrow waist all of the paper's jobs fit
 //! through: Hilbert chain joins emit component ids as keys; equi-joins
-//! emit value hashes; 1-Bucket-Theta emits rectangle ids; merges emit
+//! emit value hashes; broadcast joins emit reducer ids; merges emit
 //! shared-key hashes.
+//!
+//! A reducer is one call: [`MrJob::reduce_task`] gets the reducer's
+//! key-sorted records (and, under a [`DeadRows`] filter, the counts of
+//! the records that were priced but never shipped) and emits each row
+//! with its *priced bytes* — the encoded length of the row Algorithm 1
+//! writes. That lets a terminal join build only the columns the query
+//! returns while Eq. 2–4 still charge the full joined row.
 
 use crate::dfs::DfsFile;
+use crate::engine::GROUP_BY_AUX;
 use mwtj_storage::{BlockZones, Schema, Tuple};
 use std::sync::Arc;
 
@@ -177,13 +185,14 @@ impl<'a> KeptRows<'a> {
 }
 
 /// A job's proof, built once per run, that some input rows cannot
-/// contribute to any output row — and the reduce that still prices them.
+/// contribute to any output row.
 ///
 /// A *dead* row is counted, not shipped: the engine adds the records its
 /// map call would emit, and their wire bytes, to the map output and to
 /// each destination reducer, but never builds or moves them. The
-/// simulated clock therefore prices exactly what a run that ships every
-/// row prices.
+/// reducer receives the counts per tag ([`MrJob::reduce_task`]'s
+/// `counted`), so the simulated clock prices exactly what a run that
+/// ships every row prices.
 pub trait DeadRows: Send + Sync {
     /// If `row` of `tag` is dead, report every record its map call would
     /// emit as `count(partition key, wire bytes)` and return `true`;
@@ -197,23 +206,38 @@ pub trait DeadRows: Send + Sync {
         row_idx: usize,
         count: &mut dyn FnMut(u64, usize),
     ) -> bool;
+}
 
-    /// Reduce reducer `key`'s whole input: the shipped `records` plus,
-    /// per tag `t`, `counted[t]` records that were counted instead
-    /// (missing tags count 0). Must emit the rows, in the order, and
-    /// return the priced count that [`MrJob::reduce`] would for the
-    /// input with every counted record shipped.
-    fn reduce(
-        &self,
-        key: u64,
-        records: &[TaggedRecord],
-        counted: &[u64],
-        emit: &mut dyn FnMut(Tuple) -> bool,
-    ) -> u64;
+/// Reduce-side emitter: one output row and its **priced** bytes — the
+/// encoded length of the row the textbook reducer writes, which the
+/// simulated clock charges as output. A job that builds exactly that
+/// row passes its [`Tuple::encoded_len`]; a terminal join that builds
+/// only the query's projected columns passes the full joined row's
+/// length. Returns `false` once the receiver is gone: stop promptly.
+pub type ReduceEmit<'a> = dyn FnMut(Tuple, u64) -> bool + 'a;
+
+/// The key groups of one reducer's key-sorted input, in order: maximal
+/// runs of records that share a grouping key (the
+/// [`GROUP_BY_AUX`](crate::engine::GROUP_BY_AUX) key when set, else
+/// the whole reducer). What a hash job's [`MrJob::reduce_task`] walks.
+pub fn key_groups(records: &[TaggedRecord]) -> impl Iterator<Item = &[TaggedRecord]> {
+    records.chunk_by(|a, b| group_key(a) == group_key(b))
+}
+
+/// A record's grouping key within its reducer (`None`: the whole
+/// reducer is one group).
+pub(crate) fn group_key(rec: &TaggedRecord) -> Option<u64> {
+    (rec.aux & GROUP_BY_AUX != 0).then_some(rec.aux & !GROUP_BY_AUX)
 }
 
 /// A MapReduce job. Implementations must be `Sync`: map and reduce
 /// tasks run on a thread pool.
+///
+/// The reduce side has one entry point, [`MrJob::reduce_task`], called
+/// once per reducer by both the buffered and the streamed engine paths.
+/// Its contract is rows, row order, priced count and priced bytes: the
+/// engine collects or batches what it emits, so the two paths cannot
+/// drift apart.
 pub trait MrJob: Sync {
     /// Human-readable job name (for metrics and plan traces).
     fn name(&self) -> String;
@@ -230,27 +254,53 @@ pub trait MrJob: Sync {
     /// deterministic given the block.
     fn map(&self, tag: u8, row: &Tuple, block_seed: u64, row_idx: usize, emit: &mut Emit<'_>);
 
-    /// Reduce one key group. `records` arrive grouped by key; groups
-    /// are delivered in ascending key order and records within a group
-    /// keep their arrival order (map-task order, then emit order) —
-    /// the engine's sort-merge grouping is stable, and downstream
-    /// byte-accounting determinism relies on it.
+    /// Reduce reducer `r`'s whole input. `records` are what it received,
+    /// sorted by grouping key: groups in ascending key order, records
+    /// within a group in arrival order (map-task order, then emit
+    /// order) — the engine's sort is stable, and downstream
+    /// byte-accounting determinism relies on it. A job grouping by key
+    /// walks [`key_groups`]; any other has one group. `counted[t]`
+    /// records of tag `t` were counted instead of shipped (its
+    /// [`DeadRows`] filter; empty without one, missing tags count 0).
     ///
-    /// Returns the group's **priced** candidate count: the number of
-    /// candidate combinations the textbook reducer would examine — for
-    /// the chain join its depth-wise nested loop with early predicate
-    /// pruning, for a pair join `|L|·|R|`. The engine charges
+    /// Emits each output row with its priced bytes ([`ReduceEmit`]) and
+    /// returns the **priced** candidate count: the candidate
+    /// combinations the textbook reducer would examine over the input
+    /// with every counted record shipped — for the chain join its
+    /// depth-wise nested loop with early predicate pruning, for a pair
+    /// join `|L|·|R|` per group. The engine charges
     /// `cpu_per_candidate_secs` per unit on the simulated clock, so the
     /// count must not depend on how the host finds the matches (the
     /// join jobs' hash and key-range indexes visit far fewer). What the
-    /// host really visited is [`MrJob::reduce_examined`].
-    fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64;
+    /// host really visited is [`MrJob::reduce_examined`]. Once `emit`
+    /// returns `false` the run is being cancelled and the count no
+    /// longer matters.
+    fn reduce_task(
+        &self,
+        r: u64,
+        records: &[TaggedRecord],
+        counted: &[u64],
+        emit: &mut ReduceEmit<'_>,
+    ) -> u64;
 
-    /// Running total of the candidates this job's `reduce` /
-    /// `reduce_streamed` calls have really visited on the host, calls
-    /// of attempts that were later retried included — the engine
-    /// reports the growth across one run as
-    /// [`JobMetrics::reduce_examined`](crate::JobMetrics::reduce_examined).
+    /// [`MrJob::reduce_task`] over one reducer's records with nothing
+    /// counted, collecting the rows into `out` — `key` is the reducer
+    /// (for a job that groups by key, any single group reduces the
+    /// same). Nothing in the engine calls it; it is kept for the
+    /// end-to-end benchmark harness, which drives jobs directly, until
+    /// that harness reads layer times from the engine's own spans
+    /// (ROADMAP item 4b).
+    fn reduce(&self, key: u64, records: &[TaggedRecord], out: &mut Vec<Tuple>) -> u64 {
+        self.reduce_task(key, records, &[], &mut |row, _| {
+            out.push(row);
+            true
+        })
+    }
+
+    /// Running total of the candidates this job's reduce calls have
+    /// really visited on the host, calls of attempts that were later
+    /// retried included — the engine reports the growth across one run
+    /// as [`JobMetrics::reduce_examined`](crate::JobMetrics::reduce_examined).
     /// Host-side observation only: nothing prices it. `None` (the
     /// default) for jobs that do not count their visits.
     fn reduce_examined(&self) -> Option<u64> {
@@ -268,46 +318,15 @@ pub trait MrJob: Sync {
     /// Build this run's [`DeadRows`] filter from the rows of its
     /// zone-kept blocks, or `None` (the default) to ship every row.
     ///
-    /// The counted-reduce contract: counts include every dead row, so
-    /// the group sizes and survivor counts the job prices are those of
-    /// a run that ships them. Only a job whose reduce groups are whole
-    /// reducers — no record sets [`GROUP_BY_AUX`](crate::engine::GROUP_BY_AUX)
-    /// in its `aux` — may offer a filter. The engine then calls [`DeadRows::reduce`]
-    /// once per reducer, including one that received only counted
-    /// records or none, in place of [`MrJob::reduce`] and
-    /// [`MrJob::reduce_streamed`].
+    /// The counted-reduce contract: the counts reach
+    /// [`MrJob::reduce_task`], whose priced figures must include every
+    /// dead row, so the group sizes and survivor counts the job prices
+    /// are those of a run that ships them. Counts are per reducer, so
+    /// only a job whose reduce groups are whole reducers — no record
+    /// sets [`GROUP_BY_AUX`](crate::engine::GROUP_BY_AUX) in its `aux`
+    /// — may offer a filter.
     fn dead_rows<'a>(&'a self, _kept: &KeptRows<'a>) -> Option<Box<dyn DeadRows + 'a>> {
         None
-    }
-
-    /// Streaming variant of [`MrJob::reduce`]: emit output rows one at
-    /// a time instead of materialising the group's output vector.
-    ///
-    /// Contract: must emit exactly the rows `reduce` would push, in the
-    /// same order, and return the same candidate count — the engine's
-    /// streamed path relies on it for bit-identical results and cost
-    /// metrics. `emit` returns `false` when the downstream receiver is
-    /// gone; implementations should stop producing promptly (the run is
-    /// being cancelled, so the candidate count no longer matters).
-    ///
-    /// The default buffers one group's output via `reduce` — correct
-    /// for any job, memory-bounded only by the largest single group.
-    /// Jobs whose groups can be huge (the terminal join jobs) override
-    /// this with a true visitor path.
-    fn reduce_streamed(
-        &self,
-        key: u64,
-        records: &[TaggedRecord],
-        emit: &mut dyn FnMut(Tuple) -> bool,
-    ) -> u64 {
-        let mut out = Vec::new();
-        let candidates = self.reduce(key, records, &mut out);
-        for row in out {
-            if !emit(row) {
-                break;
-            }
-        }
-        candidates
     }
 }
 

@@ -76,6 +76,11 @@ pub struct JobMetrics {
     pub real_shuffle_secs: f64,
     /// See [`JobMetrics::real_map_secs`].
     pub real_reduce_secs: f64,
+    /// The part of `real_reduce_secs` spent delivering output: blocked
+    /// in the sink's `send` when streamed, assembling the result
+    /// relation (and its DFS write) when buffered. Timed per batch or
+    /// once per run, never per row.
+    pub real_deliver_secs: f64,
     /// Total map task attempts (= map_tasks when no faults injected).
     pub map_attempts: u32,
     /// Total reduce task attempts (= reduce_tasks when no faults).

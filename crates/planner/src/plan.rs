@@ -15,13 +15,13 @@ use mwtj_cost::{schedule_malleable, CostModel, MalleableJob};
 use mwtj_hilbert::PartitionStrategy;
 use mwtj_join::{ChainThetaJob, IntermediateShape, PairJob, PairStrategy};
 use mwtj_mapreduce::{
-    BatchSink, CancelToken, Cluster, DfsFile, ExecError, FaultPlan, InputSpec, JobMetrics, PlanJob,
-    PlanStage, RowBatch, SinkSpec,
+    CancelToken, Cluster, DfsFile, ExecError, FaultPlan, InputSpec, JobMetrics, MrJob, PlanJob,
+    PlanStage, SinkSpec,
 };
 use mwtj_obs::QueryProfile;
 use mwtj_query::theta::CompiledPredicate;
 use mwtj_query::MultiwayQuery;
-use mwtj_storage::{Relation, RelationStats, Tuple};
+use mwtj_storage::{Relation, RelationStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -121,66 +121,6 @@ impl ExecOptions {
     fn effective_units(&self, cluster: &Cluster) -> u32 {
         let k_p = cluster.config().processing_units;
         self.units.map_or(k_p, |u| u.clamp(1, k_p))
-    }
-}
-
-/// A sink wrapper applying the query's final projection to each batch
-/// before forwarding — the terminal job emits shape-wide rows, but the
-/// stream contract delivers exactly the rows `project_rows` would have
-/// produced.
-struct ProjectingSink {
-    inner: Arc<dyn BatchSink>,
-    /// Flat column picks into shape rows; `None` = empty projection,
-    /// rows pass through.
-    cols: Option<Vec<usize>>,
-}
-
-impl BatchSink for ProjectingSink {
-    fn send(&self, batch: RowBatch) -> bool {
-        match &self.cols {
-            None => self.inner.send(batch),
-            Some(cols) => {
-                let rows = batch
-                    .rows
-                    .into_iter()
-                    .map(|row| Tuple::new(cols.iter().map(|&c| row.get(c).clone()).collect()))
-                    .collect();
-                self.inner.send(RowBatch { rows })
-            }
-        }
-    }
-}
-
-/// The caller's sink wrapped with the projection for terminal rows of
-/// `shape`; `None` when the run is not streamed.
-fn terminal_sink(
-    opts: &ExecOptions,
-    query: &MultiwayQuery,
-    shape: &IntermediateShape,
-) -> Option<SinkSpec> {
-    opts.sink.as_ref().map(|spec| SinkSpec {
-        sink: Arc::new(ProjectingSink {
-            inner: Arc::clone(&spec.sink),
-            cols: projection_cols(query, shape),
-        }),
-        batch_rows: spec.batch_rows,
-    })
-}
-
-/// Flat column indices of the query projection into rows of `shape`
-/// (the compiled form of [`IntermediateShape::value`] per projected
-/// column); `None` for the pass-through empty projection.
-fn projection_cols(query: &MultiwayQuery, shape: &IntermediateShape) -> Option<Vec<usize>> {
-    if query.projection.is_empty() {
-        None
-    } else {
-        Some(
-            query
-                .projection
-                .iter()
-                .map(|&(r, c)| shape.col_range(r).start + c)
-                .collect(),
-        )
     }
 }
 
@@ -700,8 +640,13 @@ impl Planner {
                 }
                 let units = plan.allotments[ci].max(1);
                 let k_r = cand.s.min(units).max(1);
+                // A single-candidate plan's one job is terminal: its
+                // leaf builds the query's projected rows, and with a
+                // sink attached it streams them. Multi-candidate plans
+                // persist every part whole and project in the final
+                // merge.
                 let (job, inputs, reducers, out_shape): (
-                    Box<dyn mwtj_mapreduce::MrJob>,
+                    Box<dyn MrJob>,
                     Vec<InputSpec>,
                     u32,
                     IntermediateShape,
@@ -715,8 +660,8 @@ impl Planner {
                             .enumerate()
                             .map(|(dim, &r)| base_input(query, bound, r, dim as u8))
                             .collect();
-                        let reducers = job.reducers();
-                        let shape = job.out_shape().clone();
+                        let (reducers, shape) = (job.reducers(), job.out_shape().clone());
+                        let job = if single { job.projecting(query) } else { job };
                         (Box::new(job), inputs, reducers, shape)
                     }
                     CandidateOp::PairEqui => {
@@ -730,32 +675,23 @@ impl Planner {
                             IntermediateShape::base(query, rrel),
                             compiled.per_condition[e].clone(),
                             PairStrategy::EquiHash,
-                            (cards[lrel], cards[rrel]),
                             k_r,
                         );
                         let inputs = vec![
                             base_input(query, bound, lrel, 0),
                             base_input(query, bound, rrel, 1),
                         ];
-                        let reducers = job.reducers();
-                        let shape = job.out_shape().clone();
+                        let (reducers, shape) = (job.reducers(), job.out_shape().clone());
+                        let job = if single { job.projecting(query) } else { job };
                         (Box::new(job), inputs, reducers, shape)
                     }
                 };
-                // Only the terminal job streams: a single-candidate
-                // plan's one job is terminal; multi-candidate plans
-                // persist every part and stream from the final merge.
-                let sink = if single {
-                    terminal_sink(opts, query, &out_shape)
-                } else {
-                    None
-                };
-                let out_file = if single {
-                    None
+                let (sink, out_file) = if single {
+                    (opts.sink.clone(), None)
                 } else {
                     let f = format!("__run{run_tag}_part_{ci}");
                     part_files.push((f.clone(), out_shape));
-                    Some(f)
+                    (None, Some(f))
                 };
                 jobs.push(PlanJob {
                     job,
@@ -786,23 +722,16 @@ impl Planner {
         );
 
         // --- merge phase: fold intermediates on shared relations ---
-        let final_rows;
-        let final_shape;
-        if single {
-            final_shape = IntermediateShape::of(&query.clone(), &chosen[0].rels);
-            final_rows = exec.output.into_rows();
+        let output = if single {
+            exec.output
         } else {
-            let (rows, shape, merge_secs, mut mm) =
+            let (output, merge_secs, mut mm) =
                 self.merge_parts(query, cluster, part_files, k_p, run_tag, opts)?;
             sim_secs += merge_secs;
             jobs_metrics.append(&mut mm);
             plan_desc.push_str(&format!(", {} merge job(s)", mm_count(&jobs_metrics)));
-            final_rows = rows;
-            final_shape = shape;
-        }
-
-        // --- final projection (in-memory; trivial column selection) ---
-        let output = project_rows(query, &final_shape, final_rows);
+            output
+        };
         for m in &mut jobs_metrics {
             m.ticket = opts.ticket;
         }
@@ -820,8 +749,9 @@ impl Planner {
         })
     }
 
-    /// Merge part files pairwise on shared relations until one remains.
-    #[allow(clippy::type_complexity)]
+    /// Merge part files pairwise on shared relations until one remains;
+    /// the last merge is the terminal job. Returns its (projected)
+    /// output, the merges' simulated seconds and their metrics.
     fn merge_parts(
         &self,
         query: &MultiwayQuery,
@@ -830,7 +760,7 @@ impl Planner {
         k_p: u32,
         run_tag: u64,
         opts: &ExecOptions,
-    ) -> Result<(Vec<Tuple>, IntermediateShape, f64, Vec<JobMetrics>), PlanError> {
+    ) -> Result<(Relation, f64, Vec<JobMetrics>), PlanError> {
         let mut sim = 0.0;
         let mut metrics = Vec::new();
         let mut merge_id = 0usize;
@@ -865,30 +795,26 @@ impl Planner {
             let job = PairJob::new(
                 format!("merge_{merge_id}"),
                 query,
-                lshape.clone(),
-                rshape.clone(),
+                lshape,
+                rshape,
                 vec![],
                 PairStrategy::EquiHash,
-                (lrows, rrows),
                 reducers,
             );
             let last = parts.is_empty();
             let out_file = format!("__run{run_tag}_merged_{merge_id}");
             let out_shape = job.out_shape().clone();
+            // The final merge is the terminal job: it builds projected
+            // rows, and with a sink attached streams them instead of
+            // materialising.
+            let job = if last { job.projecting(query) } else { job };
             let inputs = [InputSpec::new(&lf, 0), InputSpec::new(&rf, 1)];
             let faults = opts
                 .faults
                 .as_ref()
                 .unwrap_or_else(|| cluster.engine().fault_plan());
-            // The final merge is the terminal job: with a sink attached
-            // it streams final-projected batches instead of
-            // materialising.
-            let stream = if last {
-                terminal_sink(opts, query, &out_shape)
-            } else {
-                None
-            };
-            let run = match &stream {
+            let stream = if last { opts.sink.as_ref() } else { None };
+            let run = match stream {
                 Some(spec) => cluster.engine().try_run_streamed(
                     &job,
                     &inputs,
@@ -915,38 +841,16 @@ impl Planner {
             cluster.dfs().remove(&lf);
             cluster.dfs().remove(&rf);
             if last {
-                return Ok((run.output.into_rows(), out_shape, sim, metrics));
+                return Ok((run.output, sim, metrics));
             }
             parts.push((out_file, out_shape));
             merge_id += 1;
         }
-        // Single part: read it back.
-        let (f, shape) = parts.pop().ok_or_else(|| PlanError::Disconnected {
+        // A multi-candidate plan has at least two parts, so the loop
+        // always ends in its terminal merge.
+        Err(PlanError::Disconnected {
             detail: format!("no partial results to merge for `{}`", query.name),
-        })?;
-        let rel = cluster
-            .dfs()
-            .read_relation(&f)
-            .ok_or_else(|| PlanError::Exec(ExecError::MissingFile { name: f.clone() }))?;
-        cluster.dfs().remove(&f);
-        if let Some(spec) = terminal_sink(opts, query, &shape) {
-            // Degenerate streamed plan (one part, no terminal merge):
-            // ship the materialised part through the sink in batches so
-            // the caller still sees a well-formed stream.
-            let mut rows = rel.into_rows();
-            while !rows.is_empty() {
-                if let Some(token) = opts.cancel.as_ref() {
-                    token.check().map_err(PlanError::Exec)?;
-                }
-                let rest = rows.split_off(rows.len().min(spec.batch_rows));
-                if !spec.sink.send(RowBatch { rows }) {
-                    return Err(PlanError::Exec(ExecError::Cancelled));
-                }
-                rows = rest;
-            }
-            return Ok((Vec::new(), shape, sim, metrics));
-        }
-        Ok((rel.into_rows(), shape, sim, metrics))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1049,12 +953,14 @@ impl Planner {
                 right_shape,
                 preds,
                 strategy,
-                (cur_rows.max(1), right_rows.max(1)),
                 reducers,
             );
             let last = step + 1 == order.len();
             let out_file = format!("__run{run_tag}_casc_{step}");
             let out_shape = job.out_shape().clone();
+            // The cascade's last step is the terminal job: it builds
+            // projected rows, and with a sink attached streams them.
+            let job = if last { job.projecting(query) } else { job };
             desc_steps.push(format!(
                 "⋈{}({:?},n={})",
                 query.schemas[next].name(),
@@ -1066,14 +972,8 @@ impl Planner {
                 .faults
                 .as_ref()
                 .unwrap_or_else(|| cluster.engine().fault_plan());
-            // The cascade's last step is the terminal job: with a sink
-            // attached it streams final-projected batches.
-            let stream = if last {
-                terminal_sink(opts, query, &out_shape)
-            } else {
-                None
-            };
-            let run = match &stream {
+            let stream = if last { opts.sink.as_ref() } else { None };
+            let run = match stream {
                 Some(spec) => cluster.engine().try_run_streamed(
                     &job,
                     &inputs,
@@ -1109,9 +1009,8 @@ impl Planner {
             cur_shape = out_shape;
             cur_rows = run.output.len() as u64;
             if last {
-                let output = project_rows(query, &cur_shape, run.output.into_rows());
                 return Ok(QueryRun {
-                    output,
+                    output: run.output,
                     plan: format!("{baseline:?}: {}", desc_steps.join(" → ")),
                     predicted_secs: 0.0,
                     sim_secs: sim,
@@ -1191,7 +1090,6 @@ fn strategy_tag(s: PairStrategy) -> &'static str {
     match s {
         PairStrategy::EquiHash => "hash",
         PairStrategy::Broadcast { .. } => "bcast",
-        PairStrategy::OneBucket => "1bkt",
     }
 }
 
@@ -1215,29 +1113,6 @@ fn cascade_order(query: &MultiwayQuery) -> Vec<usize> {
         order.push(next);
     }
     order
-}
-
-/// Apply the query projection to rows of `shape` (must cover every
-/// relation the projection references; for empty projections the rows
-/// pass through).
-fn project_rows(query: &MultiwayQuery, shape: &IntermediateShape, rows: Vec<Tuple>) -> Relation {
-    if query.projection.is_empty() {
-        return Relation::from_rows_unchecked(shape.schema.clone(), rows);
-    }
-    let out_schema = query.output_schema();
-    let projected = rows
-        .into_iter()
-        .map(|row| {
-            Tuple::new(
-                query
-                    .projection
-                    .iter()
-                    .map(|&(r, c)| shape.value(&row, r, c).clone())
-                    .collect(),
-            )
-        })
-        .collect();
-    Relation::from_rows_unchecked(out_schema, projected)
 }
 
 /// Reducer count for a merge job: proportional to the data, capped.

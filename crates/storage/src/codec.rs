@@ -77,17 +77,29 @@ fn get_varint(buf: &mut &[u8], offset: &mut usize) -> Result<u64> {
 /// Number of bytes [`encode_tuple`] would produce for `values`, without
 /// allocating. This is the hot path for cost accounting.
 pub fn encoded_len(values: &[Value]) -> usize {
-    let mut n = varint_len(values.len() as u64);
-    for v in values {
-        n += 1; // tag
-        n += match v {
-            Value::Null => 0,
-            Value::Int(i) => varint_len(zigzag(*i)),
-            Value::Double(_) => 8,
-            Value::Str(s) => varint_len(s.len() as u64) + s.len(),
-        };
-    }
-    n
+    arity_len(values.len()) + values_len(values)
+}
+
+/// Bytes of the arity header an encoded tuple of `arity` values starts
+/// with: `encoded_len(v) == arity_len(v.len()) + values_len(v)`.
+pub fn arity_len(arity: usize) -> usize {
+    varint_len(arity as u64)
+}
+
+/// Bytes the encoded `values` take after the arity header — additive
+/// over any split of a row into column slices.
+pub fn values_len(values: &[Value]) -> usize {
+    values
+        .iter()
+        .map(|v| {
+            1 + match v {
+                Value::Null => 0,
+                Value::Int(i) => varint_len(zigzag(*i)),
+                Value::Double(_) => 8,
+                Value::Str(s) => varint_len(s.len() as u64) + s.len(),
+            }
+        })
+        .sum()
 }
 
 /// Encode one tuple's values into a fresh buffer.

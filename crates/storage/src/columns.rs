@@ -392,15 +392,10 @@ impl Columns {
         &self.columns[i]
     }
 
-    /// Gather row `i` back into values (bit-identical to the row-major
-    /// representation).
-    pub fn gather_values(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.value(i)).collect()
-    }
-
-    /// Gather row `i` back into a [`Tuple`].
+    /// Gather row `i` back into a [`Tuple`] (bit-identical to the
+    /// row-major representation), in one allocation.
     pub fn gather_row(&self, i: usize) -> Tuple {
-        Tuple::new(self.gather_values(i))
+        self.columns.iter().map(|c| c.value(i)).collect()
     }
 
     /// Gather every row — the emit-time materialisation.

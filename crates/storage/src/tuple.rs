@@ -32,6 +32,14 @@ impl Tuple {
         }
     }
 
+    /// Bytes the encoded values take after the arity header
+    /// ([`codec::values_len`]); O(1) off the memoised length. A row
+    /// cut into parts encodes to `codec::arity_len` of its arity plus
+    /// the parts' `values_len`.
+    pub fn values_len(&self) -> usize {
+        self.enc_len - codec::arity_len(self.arity())
+    }
+
     /// The values.
     pub fn values(&self) -> &[Value] {
         &self.values
@@ -113,6 +121,20 @@ impl fmt::Display for Tuple {
     }
 }
 
+/// Collecting builds the tuple in **one** allocation when the source
+/// reports its exact length (a `map` over a slice, a `chain` of such,
+/// `once`): `Arc<[Value]>` then writes the values straight into its
+/// final buffer, where [`Tuple::new`] allocates a `Vec` and then the
+/// `Arc`. Hot row builders (join leaves, row-id augmentation, columnar
+/// gathers) use this form.
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        let values: Arc<[Value]> = values.into_iter().collect();
+        let enc_len = codec::encoded_len(&values);
+        Tuple { values, enc_len }
+    }
+}
+
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Self {
         Tuple::new(values)
@@ -170,5 +192,37 @@ mod tests {
         // Derived rows keep the invariant too.
         let c = t.concat(&tuple![9]);
         assert_eq!(c.encoded_len(), crate::codec::encoded_len(c.values()));
+        // So do collected ones, from a slice map and from a chain.
+        let picked: Tuple = [2usize, 0].iter().map(|&i| t.get(i).clone()).collect();
+        assert_eq!(picked, tuple!["hello", 1]);
+        assert_eq!(
+            picked.encoded_len(),
+            crate::codec::encoded_len(picked.values())
+        );
+        let grown: Tuple = t
+            .values()
+            .iter()
+            .cloned()
+            .chain(std::iter::once(Value::Int(300)))
+            .collect();
+        assert_eq!(grown, tuple![1, 2.5, "hello", -12345678, 300]);
+        assert_eq!(
+            grown.encoded_len(),
+            crate::codec::encoded_len(grown.values())
+        );
+        let empty: Tuple = std::iter::empty().collect();
+        assert_eq!(empty.encoded_len(), 1);
+        // The header/values split is additive over column slices.
+        for row in [&t, &c, &picked, &grown, &empty] {
+            let (head, tail) = row.values().split_at(row.arity() / 2);
+            assert_eq!(
+                row.values_len(),
+                crate::codec::values_len(head) + crate::codec::values_len(tail)
+            );
+            assert_eq!(
+                row.encoded_len(),
+                crate::codec::arity_len(row.arity()) + row.values_len()
+            );
+        }
     }
 }

@@ -22,8 +22,10 @@
 # spread is wider than that bound; `same` otherwise.
 #
 # After the pairs, one `--trace 1` run per side and workload on the first
-# seed shows where a difference sits: both sides' per-class p50s, shuffle
-# records and reduce candidates go into the `layers` array.
+# seed shows where a difference sits: both sides' per-class p50s, the
+# engine's execute time, the jobs' host time, the server's frame encode
+# cost per 1000 rows, the profile coverage, shuffle records and reduce
+# candidates go into the `layers` array.
 #
 # Takes (pairs × seeds + 1) × 4 workloads × 2 sides × ~25 s. Timings
 # never gate CI; this is run by hand when a change claims a gain.
@@ -152,9 +154,13 @@ for seed in seeds:
             })
 
 # Where a difference sits: the traced runs' per-class p50s (classes the
-# workload runs) and the priced shuffle and reduce volume, both sides.
+# workload runs), the per-layer host times (engine execute, MapReduce
+# jobs, frame encode) and profile coverage, and the priced shuffle and
+# reduce volume, both sides.
 layers = []
-shown = re.compile(r"class\..*\.p50_ms|mapreduce\.shuffle_records|join\.reduce_candidates")
+shown = re.compile(r"class\..*\.p50_ms|core\.execute_ms|mapreduce\.jobs_real_ms"
+                   r"|server\.frame_encode_us_per_krow|obs\.profile_coverage"
+                   r"|mapreduce\.shuffle_records|join\.reduce_candidates")
 for workload in [w["name"] for w in bench["workloads"]]:
     sides = [traced.get((workload, side)) for side in ("parent", "change")]
     if None in sides:

@@ -6,7 +6,8 @@
 use mwtj_datagen::SyntheticGen;
 use mwtj_join::{IntermediateShape, PairJob, PairStrategy};
 use mwtj_mapreduce::{
-    ClusterConfig, Dfs, Emit, Engine, ExecError, FaultPlan, InputSpec, MrJob, TaggedRecord,
+    ClusterConfig, Dfs, Emit, Engine, ExecError, FaultPlan, InputSpec, MrJob, ReduceEmit,
+    TaggedRecord,
 };
 use mwtj_query::{QueryBuilder, ThetaOp};
 use mwtj_storage::{Schema, Tuple};
@@ -38,7 +39,6 @@ fn engine_with(fault: FaultPlan) -> (Engine, PairJob, Vec<InputSpec>) {
         IntermediateShape::base(&q, 1),
         preds,
         PairStrategy::EquiHash,
-        (4_000, 4_000),
         8,
     );
     let mut engine = Engine::new(cfg, dfs);
@@ -155,7 +155,13 @@ impl MrJob for PanickingReduce {
             },
         );
     }
-    fn reduce(&self, _key: u64, _records: &[TaggedRecord], _out: &mut Vec<Tuple>) -> u64 {
+    fn reduce_task(
+        &self,
+        _r: u64,
+        _records: &[TaggedRecord],
+        _counted: &[u64],
+        _emit: &mut ReduceEmit<'_>,
+    ) -> u64 {
         panic!("deterministic task bug");
     }
 }

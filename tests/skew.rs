@@ -45,7 +45,6 @@ fn run_hash(rel: &Relation, reducers: u32) -> JobMetrics {
         IntermediateShape::base(&q, 1),
         preds,
         PairStrategy::EquiHash,
-        (rel.len() as u64, rel.len() as u64),
         reducers,
     );
     let engine = Engine::new(cfg, dfs);
