@@ -5,7 +5,7 @@
 //! relation index. [`IntermediateShape`] records which relations those
 //! are and where each one's columns start, so downstream jobs (merges,
 //! cascade steps) can address `rel.col` in O(1) without schema lookups.
-//! [`OutRow`] is the compiled form a join leaf builds its row with.
+//! `OutRow` is the compiled form a join leaf builds its row with.
 
 use mwtj_query::MultiwayQuery;
 use mwtj_storage::{codec, Schema, Tuple};

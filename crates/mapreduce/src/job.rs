@@ -218,7 +218,7 @@ pub type ReduceEmit<'a> = dyn FnMut(Tuple, u64) -> bool + 'a;
 
 /// The key groups of one reducer's key-sorted input, in order: maximal
 /// runs of records that share a grouping key (the
-/// [`GROUP_BY_AUX`](crate::engine::GROUP_BY_AUX) key when set, else
+/// [`GROUP_BY_AUX`] key when set, else
 /// the whole reducer). What a hash job's [`MrJob::reduce_task`] walks.
 pub fn key_groups(records: &[TaggedRecord]) -> impl Iterator<Item = &[TaggedRecord]> {
     records.chunk_by(|a, b| group_key(a) == group_key(b))
@@ -323,7 +323,7 @@ pub trait MrJob: Sync {
     /// dead row, so the group sizes and survivor counts the job prices
     /// are those of a run that ships them. Counts are per reducer, so
     /// only a job whose reduce groups are whole reducers — no record
-    /// sets [`GROUP_BY_AUX`](crate::engine::GROUP_BY_AUX) in its `aux`
+    /// sets [`GROUP_BY_AUX`] in its `aux`
     /// — may offer a filter.
     fn dead_rows<'a>(&'a self, _kept: &KeptRows<'a>) -> Option<Box<dyn DeadRows + 'a>> {
         None

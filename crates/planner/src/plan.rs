@@ -87,7 +87,7 @@ pub struct ExecOptions {
     /// produces (0 = not admission-controlled).
     pub ticket: u64,
     /// Stream the *final* join output through this sink as ordered
-    /// [`RowBatch`]es (final-projected rows) instead of materialising
+    /// [`RowBatch`](mwtj_mapreduce::RowBatch)es (final-projected rows) instead of materialising
     /// it — only the terminal job streams; intermediate stages still
     /// hit the simulated DFS, so the Eq. 2–4 cost metrics are
     /// bit-identical to a buffered run. The returned
